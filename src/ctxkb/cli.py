@@ -7,6 +7,9 @@ Exit codes:
     3  allowedness failure
     4  quantification/consistency failure or impossible evidence
     5  enumeration guard exceeded
+
+Every command runs under one handler: a ``CtxkbError`` prints one line and
+exits with the error class's ``exit_code``; an unreadable file exits 1.
 """
 
 from __future__ import annotations
@@ -17,18 +20,7 @@ import sys
 import click
 
 from .bench import metrics_csv, paint_pair, compare_encodings
-from .errors import (
-    ConsistencyError,
-    CtxkbError,
-    CycleError,
-    EnumerationGuardError,
-    ImpossibleEvidenceError,
-    NotAllowedError,
-    OutOfBoundsSupportError,
-    ParseError,
-    QuantificationError,
-    SessionError,
-)
+from .errors import CtxkbError
 from .infer import answer_query
 from .lang import SessionInput, atom_time, validate_session
 from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed
@@ -44,33 +36,16 @@ def _fail(code: int, *messages):
     sys.exit(code)
 
 
-def _load(kb_path):
-    try:
-        return load_kb(kb_path)
-    except ParseError as e:
-        _fail(1, *e.diagnostics)
-    except OSError as e:
-        _fail(1, e)
-
-
 def _atoms(kb, path):
     if path is None:
         return []
-    try:
-        return load_atoms(kb, path)
-    except ParseError as e:
-        _fail(1, *e.diagnostics)
-    except OSError as e:
-        _fail(1, e)
+    return load_atoms(kb, path)
 
 
 def _query_atom(kb, text):
     if text is None:
         return None
-    try:
-        return parse_atom(kb, text)
-    except ParseError as e:
-        _fail(1, *e.diagnostics)
+    return parse_atom(kb, text)
 
 
 def _default_bounds(kb, frm, to, atoms):
@@ -94,10 +69,7 @@ def _session(kb, context_path, evidence_path, query_text, frm, to):
     query = _query_atom(kb, query_text)
     frm, to = _default_bounds(kb, frm, to, ctx + ev + ([query] if query else []))
     s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=query)
-    try:
-        return validate_session(kb, s)
-    except SessionError as e:
-        _fail(1, *e.diagnostics)
+    return validate_session(kb, s)
 
 
 def _bindings_str(theta):
@@ -152,7 +124,19 @@ def _with_common(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """Runs each command; turns an engine or file error into one line and its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CtxkbError as e:
+            _fail(e.exit_code, e)
+        except OSError as e:
+            _fail(1, e)
+
+
+@click.group(cls=_Main)
 def main():
     """Context-sensitive temporal probabilistic knowledge bases."""
 
@@ -164,26 +148,14 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def check(kb_path, frm, to, fmt):
     """Validate a knowledge base: parse, acyclicity, allowedness, consistency."""
-    kb = _load(kb_path)
-    findings = []
-    try:
-        check_acyclic_cb(kb, frm, to)
-        check_acyclic_pb(kb, frm, to)
-    except CycleError as e:
-        _fail(2, e)
-    try:
-        check_allowed(kb)
-    except NotAllowedError as e:
-        _fail(3, *e.diagnostics)
+    kb = load_kb(kb_path)
+    check_acyclic_cb(kb, frm, to)
+    check_acyclic_pb(kb, frm, to)
+    check_allowed(kb)
     # combined-base consistency under the empty session (all contexts open)
     empty = validate_session(kb, SessionInput(lo=frm, hi=to))
-    try:
-        base, _, _ = build_combined_base(kb, empty)
-        check_consistency(base)
-    except ConsistencyError as e:
-        _fail(4, *e.violations)
-    except CtxkbError as e:
-        _fail(4, e)
+    base, _, _ = build_combined_base(kb, empty)
+    check_consistency(base)
     if fmt == "json":
         click.echo(json.dumps({"ok": True, "file": str(kb_path), "bounds": [frm, to]}))
     else:
@@ -195,20 +167,11 @@ def check(kb_path, frm, to, fmt):
 @_with_common
 def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
     """Answer a complete query: one posterior row per ground instance."""
-    kb = _load(kb_path)
+    kb = load_kb(kb_path)
     if query_text is None:
         _fail(1, "query: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
-    try:
-        ans = answer_query(kb, session)
-    except ImpossibleEvidenceError as e:
-        _fail(4, e)
-    except (QuantificationError, ConsistencyError) as e:
-        _fail(4, e)
-    except CycleError as e:
-        _fail(2, e)
-    except OutOfBoundsSupportError as e:
-        _fail(1, e)
+    ans = answer_query(kb, session)
     _emit_instances(kb, session.query, session.lo, session.hi, ans.instances, fmt)
 
 
@@ -219,7 +182,7 @@ def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
 @_with_common
 def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan_path):
     """Project a plan: answer the query at every timestep in the bounds."""
-    kb = _load(kb_path)
+    kb = load_kb(kb_path)
     if query_text is None:
         _fail(1, "project: --query is required")
     plan = _atoms(kb, plan_path)
@@ -240,15 +203,7 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
         args[tp] = Const(t)
         q_t = Atom(base_query.pred, tuple(args))
         s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=q_t)
-        try:
-            vs = validate_session(kb, s)
-            ans = answer_query(kb, vs)
-        except SessionError as e:
-            _fail(1, *e.diagnostics)
-        except ImpossibleEvidenceError as e:
-            _fail(4, e)
-        except (QuantificationError, ConsistencyError) as e:
-            _fail(4, e)
+        ans = answer_query(kb, validate_session(kb, s))
         rows.append((t, ans.instances))
 
     if fmt == "json":
@@ -291,16 +246,9 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
 @_with_common
 def export_dot_cmd(kb_path, context_path, evidence_path, query_text, frm, to, fmt, out_path):
     """Export the supporting network as a DOT graph."""
-    kb = _load(kb_path)
+    kb = load_kb(kb_path)
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
-    try:
-        net, _ = build_net(kb, session)
-    except (QuantificationError, ConsistencyError) as e:
-        _fail(4, e)
-    except CycleError as e:
-        _fail(2, e)
-    except OutOfBoundsSupportError as e:
-        _fail(1, e)
+    net, _ = build_net(kb, session)
     text = export_dot(net, kb)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
@@ -318,19 +266,12 @@ def export_dot_cmd(kb_path, context_path, evidence_path, query_text, frm, to, fm
 @_with_common
 def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, guard, seed):
     """Compare variable elimination against possible-model enumeration."""
-    kb = _load(kb_path)
+    kb = load_kb(kb_path)
     if query_text is None:
         _fail(1, "oracle-diff: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
-    try:
-        ans = answer_query(kb, session)
-        ref = oracle_answer(kb, session, guard=guard)
-    except EnumerationGuardError as e:
-        _fail(5, e)
-    except ImpossibleEvidenceError as e:
-        _fail(4, e)
-    except (QuantificationError, ConsistencyError) as e:
-        _fail(4, e)
+    ans = answer_query(kb, session)
+    ref = oracle_answer(kb, session, guard=guard)
     worst = 0.0
     pairs = list(zip(ans.instances, ref))
     if len(ans.instances) != len(ref):

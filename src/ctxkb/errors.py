@@ -20,11 +20,15 @@ class Diagnostic:
 
 
 class CtxkbError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors; ``exit_code`` is the CLI's exit status for it."""
+
+    exit_code = 1
 
 
 class ParseError(CtxkbError):
     """Syntax or static-validation failure; carries one or more diagnostics."""
+
+    exit_code = 1
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
@@ -34,6 +38,8 @@ class ParseError(CtxkbError):
 class SessionError(CtxkbError):
     """Invalid context/evidence/query/bounds combination."""
 
+    exit_code = 1
+
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
@@ -42,9 +48,13 @@ class SessionError(CtxkbError):
 class DepthBoundError(CtxkbError):
     """Goal evaluation exceeded the depth bound (suspected non-termination)."""
 
+    exit_code = 2
+
 
 class CycleError(CtxkbError):
     """A dependency cycle was found; ``witness`` lists the atoms/objects on it."""
+
+    exit_code = 2
 
     def __init__(self, witness, where=""):
         self.witness = list(witness)
@@ -57,6 +67,8 @@ class CycleError(CtxkbError):
 class NotAllowedError(CtxkbError):
     """A variable cannot be finitely grounded."""
 
+    exit_code = 3
+
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
@@ -65,13 +77,19 @@ class NotAllowedError(CtxkbError):
 class ConflictingSentencesError(CtxkbError):
     """Two ground sentences share consequent and antecedents but differ in alpha."""
 
+    exit_code = 4
+
 
 class CombiningRuleError(CtxkbError):
     """A combining rule rejected its input."""
 
+    exit_code = 4
+
 
 class QuantificationError(CtxkbError):
     """The combined relevant base is not completely quantified."""
+
+    exit_code = 4
 
     def __init__(self, missing):
         # missing: list of (obj, detail-string)
@@ -83,7 +101,9 @@ class QuantificationError(CtxkbError):
 
 
 class ConsistencyError(CtxkbError):
-    """Row-sum or self-influence violation in the combined relevant base."""
+    """Row-sum, range or self-influence violation in tables or factors."""
+
+    exit_code = 4
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -93,6 +113,8 @@ class ConsistencyError(CtxkbError):
 class OutOfBoundsSupportError(CtxkbError):
     """A node's support would require a time point outside the session bounds."""
 
+    exit_code = 1
+
     def __init__(self, obj):
         self.obj = obj
         super().__init__(f"support for {obj} requires a time outside the session bounds")
@@ -101,6 +123,10 @@ class OutOfBoundsSupportError(CtxkbError):
 class ImpossibleEvidenceError(CtxkbError):
     """The evidence set has zero probability under the constructed network."""
 
+    exit_code = 4
+
 
 class EnumerationGuardError(CtxkbError):
     """Possible-model enumeration exceeded the work guard."""
+
+    exit_code = 5

@@ -1,18 +1,22 @@
 """Exact posterior computation on a supporting network via variable elimination.
 
 Factors stay unnormalized until the final division, so a vanishing evidence
-probability is detected rather than silently divided through.  The answer to
-a complete query is one posterior vector per ground query instance, aligned
-with the declared value order.
+probability is detected rather than silently divided through.  Each factor
+that elimination produces is rescaled by a power of two, carried in the
+factor's ``log2_scale`` (Rabiner 1989 scaling), so long evidence runs do not
+underflow.  The answer to a complete query is one posterior vector per ground
+query instance, aligned with the declared value order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CtxkbError, ImpossibleEvidenceError
+from .errors import ConsistencyError, CtxkbError, ImpossibleEvidenceError
 from .lang import (
     KnowledgeBase,
     Obj,
@@ -23,7 +27,6 @@ from .lang import (
 )
 from .netbuild import BayesNet, NetNode, build_net, query_obj
 
-ZERO_EVIDENCE = 1e-300
 NORM_TOL = 1e-9
 
 
@@ -31,10 +34,15 @@ NORM_TOL = 1e-9
 class Factor:
     scope: tuple  # of Obj, in axis order
     values: np.ndarray  # shape = tuple of cardinalities along scope
+    log2_scale: int = 0  # the factor's entries are values * 2**log2_scale
 
     def __post_init__(self):
-        assert self.values.ndim == len(self.scope)
-        assert (self.values >= 0).all(), "negative factor entry"
+        if self.values.ndim != len(self.scope):
+            raise ConsistencyError(
+                [f"factor over {self.scope} has {self.values.ndim} axes"]
+            )
+        if not (self.values >= 0).all():
+            raise ConsistencyError([f"factor over {self.scope} has a negative entry"])
 
 
 class FactorBuilder:
@@ -99,44 +107,80 @@ def multiply(a: Factor, b: Factor) -> Factor:
                 k += 1
         return arr.reshape(shape)
 
-    return Factor(scope, align(a) * align(b))
+    return Factor(scope, align(a) * align(b), a.log2_scale + b.log2_scale)
 
 
 def marginalize(f: Factor, obj: Obj) -> Factor:
     i = f.scope.index(obj)
-    return Factor(f.scope[:i] + f.scope[i + 1 :], f.values.sum(axis=i))
+    return Factor(f.scope[:i] + f.scope[i + 1 :], f.values.sum(axis=i), f.log2_scale)
+
+
+def _rescale(f: Factor) -> Factor:
+    """Move the factor's magnitude into ``log2_scale``: its largest entry lands in [1, 2).
+
+    Scaling by a power of two is exact, so posteriors are bit for bit those of
+    the unscaled products wherever those did not underflow.
+    """
+    top = float(f.values.max())
+    if top == 0.0:
+        return f
+    e = math.frexp(top)[1] - 1
+    if e == 0:
+        return f
+    return Factor(f.scope, np.ldexp(f.values, -e), f.log2_scale + e)
+
+
+def _product(factors) -> Factor:
+    """Left-to-right product of a non-empty factor list, rescaled at each step."""
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = _rescale(multiply(prod, f))
+    return prod
 
 
 def min_fill_order(scopes, keep):
-    """Min-fill elimination order with a lexicographic tie-break."""
+    """Min-fill elimination order with a lexicographic tie-break.
+
+    Each step eliminates the object outside ``keep`` whose elimination adds
+    the fewest fill edges, the least ``obj_sort_key`` among ties.  Fill counts
+    sit in a heap and are recomputed only for the eliminated object's
+    neighbours and theirs, the only objects whose count can change.
+    """
     neighbors: dict = {}
     for scope in scopes:
         for o in scope:
-            neighbors.setdefault(o, set())
-            for p in scope:
-                if p != o:
-                    neighbors[o].add(p)
-    to_eliminate = {o for o in neighbors if o not in keep}
+            neighbors.setdefault(o, set()).update(p for p in scope if p != o)
+    sort_key = {o: obj_sort_key(o) for o in neighbors}
+
+    def fill(o):
+        nb = neighbors[o]
+        # non-adjacent neighbour pairs; the sum counts each pair from both ends
+        return sum(len(nb) - 1 - len(nb & neighbors[a]) for a in nb) // 2
+
+    current = {o: fill(o) for o in neighbors if o not in keep}
+    heap = [(f, sort_key[o], o) for o, f in current.items()]
+    heapq.heapify(heap)
     order = []
-    while to_eliminate:
-        best = None
-        for o in sorted(to_eliminate, key=obj_sort_key):
-            nb = neighbors[o] & (to_eliminate | set(keep))
-            fill = sum(
-                1
-                for a in nb
-                for b in nb
-                if obj_sort_key(a) < obj_sort_key(b) and b not in neighbors[a]
-            )
-            if best is None or fill < best[0]:
-                best = (fill, o)
-        _, o = best
+    while heap:
+        f, _, o = heapq.heappop(heap)
+        if current.get(o) != f:
+            continue  # already eliminated, or its fill has changed since the push
+        del current[o]
         order.append(o)
         nb = neighbors.pop(o)
         for a in nb:
+            neighbors[a] |= nb
+            neighbors[a].discard(a)
             neighbors[a].discard(o)
-            neighbors[a].update(b for b in nb if b != a)
-        to_eliminate.remove(o)
+        touched = set(nb)
+        for a in nb:
+            touched |= neighbors[a]
+        for t in touched:
+            if t in current:
+                nf = fill(t)
+                if nf != current[t]:
+                    current[t] = nf
+                    heapq.heappush(heap, (nf, sort_key[t], t))
     return order
 
 
@@ -151,6 +195,7 @@ def eliminate(
 
     Only the ancestors of targets and evidence participate (barren nodes are
     answer-preserving to prune).  ``order`` overrides the min-fill heuristic.
+    Each returned factor holds P(target, evidence) / 2**log2_scale.
     """
     for o in evidence:
         if o not in net.nodes:
@@ -168,23 +213,29 @@ def eliminate(
             elim = min_fill_order([f.scope for f in factors], set(keep))
         else:
             elim = [o for o in order if o in relevant and o not in keep and o not in evidence]
+        # Factors by creation id, and per object the ids whose scope names it.
+        # Ids only grow, so a bucket multiplies in the order of the factor list.
+        live = dict(enumerate(factors))
+        buckets: dict = {}
+        for i, f in live.items():
+            for p in f.scope:
+                buckets.setdefault(p, []).append(i)
+        next_id = len(factors)
         for o in elim:
-            group = [f for f in factors if o in f.scope]
-            rest = [f for f in factors if o not in f.scope]
+            group = [live.pop(i) for i in buckets.pop(o, ()) if i in live]
             if not group:
                 continue
-            prod = group[0]
-            for f in group[1:]:
-                prod = multiply(prod, f)
-            factors = rest + [marginalize(prod, o)]
-        result = factors[0]
-        for f in factors[1:]:
-            result = multiply(result, f)
+            new = _rescale(marginalize(_product(group), o))
+            live[next_id] = new
+            for p in new.scope:
+                buckets.setdefault(p, []).append(next_id)
+            next_id += 1
+        result = _product(list(live.values()))
         if target in evidence:
             # degenerate: expand the observed target back into a vector
             vec = np.zeros(fb.card(target))
             vec[fb.vindex(target)[evidence[target]]] = float(result.values)
-            result = Factor((target,), vec)
+            result = Factor((target,), vec, result.log2_scale)
         out[target] = result
     return out
 
@@ -195,8 +246,13 @@ class PosteriorVector:
     probabilities: tuple  # aligned with the declared value order
 
     def __post_init__(self):
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in self.probabilities)
-        assert abs(sum(self.probabilities) - 1.0) <= NORM_TOL
+        if not (
+            all(0.0 <= p <= 1.0 + 1e-12 for p in self.probabilities)
+            and abs(sum(self.probabilities) - 1.0) <= NORM_TOL
+        ):
+            raise ConsistencyError(
+                [f"posterior of {self.query_object} is not a distribution: {self.probabilities}"]
+            )
 
 
 @dataclass
@@ -221,13 +277,14 @@ def answer_on_net(
         target = query_obj(kb, session.query, theta)
         factors = eliminate(kb, net, session.evidence, [target], order=order)
         vec = factors[target]
-        assert vec.scope == (target,)
-        p_e = float(vec.values.sum())
-        if p_e <= ZERO_EVIDENCE:
-            raise ImpossibleEvidenceError(
-                f"evidence has zero probability (P(E) = {p_e!r})"
+        if vec.scope != (target,):
+            raise ConsistencyError(
+                [f"elimination for {target} left the scope {vec.scope}"]
             )
-        post = vec.values / p_e
+        mass = float(vec.values.sum())  # P(E) / 2**log2_scale
+        if mass == 0.0:
+            raise ImpossibleEvidenceError("evidence has zero probability (P(E) = 0)")
+        post = vec.values / mass
         post = np.clip(post, 0.0, 1.0)
         instances.append((theta, PosteriorVector(target, tuple(float(p) for p in post))))
     return QueryAnswer(session.query, instances)

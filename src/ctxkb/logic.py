@@ -135,7 +135,7 @@ class GroundContextProgram:
 
 def clause_groundings(kb: KnowledgeBase, head: Atom, body, lo: int, hi: int):
     """Type-consistent ground instances of a clause, times confined to [lo, hi]."""
-    var_domains, time_ranges = _variable_typing(kb, [head] + [a for _, a in body], lo, hi)
+    var_domains, _ = _variable_typing(kb, [head] + [a for _, a in body], lo, hi)
     if var_domains is None:
         return
     names = list(var_domains)
@@ -145,7 +145,6 @@ def clause_groundings(kb: KnowledgeBase, head: Atom, body, lo: int, hi: int):
         g_head = apply_subst(head, subst)
         g_body = tuple((sign, apply_subst(a, subst)) for sign, a in body)
         yield g_head, g_body
-    del time_ranges
 
 
 def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):

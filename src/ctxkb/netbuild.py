@@ -146,7 +146,8 @@ def assemble_net(kb: KnowledgeBase, session: ValidatedSession, base: CombinedBas
     nodes = {}
     for obj in reached:
         t = obj_time(kb, obj)
-        assert t is None or session.lo <= t <= session.hi, f"node {obj} outside bounds"
+        if t is not None and not session.lo <= t <= session.hi:
+            raise OutOfBoundsSupportError(obj)
         table = base.tables[obj]
         nodes[obj] = NetNode(obj, table.values, table.parents, dict(table.rows))
 

@@ -10,6 +10,7 @@ combined relevant base (one conditional table per relevant object):
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .combining import CauseMechanism, RuleRegistry, builtin_registry
@@ -166,20 +167,38 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession):
 
 
 def compute_ras(kb: KnowledgeBase, sentences, session: ValidatedSession) -> RelevantAtomSet:
+    """Evidence objects, then every consequent whose antecedent objects are all relevant.
+
+    A worklist: sentences are grouped by their set of antecedent objects, and
+    each group counts the objects in that set that are not yet relevant and
+    waits on them; it releases its consequents when the count reaches zero.
+    """
     objs = set(session.evidence)
-    pending = list(sentences)
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for s in pending:
-            if all(o in objs for o, _ in s.ante):
-                if s.cons[0] not in objs:
-                    objs.add(s.cons[0])
-                    changed = True
-            else:
-                rest.append(s)
-        pending = rest
+    by_ante: dict = {}  # antecedent objects -> consequent objects
+    for s in sentences:
+        by_ante.setdefault(frozenset(o for o, _ in s.ante), set()).add(s.cons[0])
+    unmet = []  # per waiting group, its count of antecedent objects not yet relevant
+    released = []  # per waiting group, its consequent objects
+    waiting = defaultdict(list)  # object -> indices of the groups waiting on it
+    ready = []
+    for ante, conss in by_ante.items():
+        blockers = ante - objs
+        if not blockers:
+            ready.extend(conss)
+            continue
+        for o in blockers:
+            waiting[o].append(len(unmet))
+        unmet.append(len(blockers))
+        released.append(conss)
+    while ready:
+        o = ready.pop()
+        if o in objs:
+            continue
+        objs.add(o)
+        for k in waiting.pop(o, ()):
+            unmet[k] -= 1
+            if unmet[k] == 0:
+                ready.extend(released[k])
     return RelevantAtomSet(frozenset(objs), session.lo, session.hi)
 
 

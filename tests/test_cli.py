@@ -210,3 +210,59 @@ def test_project_plan_atom_outside_bounds_rejected(runner, cardiac, tmp_path):
     ])
     assert r.exit_code == 1
     assert "outside" in r.output
+
+
+def _one_line_error(r):
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert len(r.output.strip().splitlines()) == 1
+
+
+def test_query_conflicting_sentences_exit_4(runner, cardiac, tmp_path):
+    ctx = tmp_path / "two_interventions.txt"
+    # two interventions in one minute make two rhythm matrices apply to one row
+    ctx.write_text("dfib(john, 1). cpr(john, 1).\n")
+    r = runner.invoke(main, [
+        "query", cardiac["kb"], "--context", str(ctx), "--query", "rhythm(john, 2, V)",
+    ])
+    assert r.exit_code == 4
+    _one_line_error(r)
+    assert "conflicting sentences" in r.output
+
+
+def test_project_support_outside_window_exit_1(runner, cardiac, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("epi(john, 2).\n")
+    ev = tmp_path / "ev2.txt"
+    ev.write_text("rhythm(john, 2, vf).\n")
+    r = runner.invoke(main, [
+        "project", cardiac["kb"], "--plan", str(plan), "--evidence", str(ev),
+        "--query", "rhythm(john, T, V)", "--from", "2", "--to", "3",
+    ])
+    assert r.exit_code == 1
+    _one_line_error(r)
+    assert "outside the session bounds" in r.output
+
+
+def test_project_cycle_exit_2(runner, tmp_path):
+    kb = tmp_path / "pcyc.ckb"
+    kb.write_text(
+        "domain d = { a }.\nvalue p = { no, yes }.\nvalue q = { no, yes }.\n"
+        "pred p(d, time).\npred q(d, time).\n"
+        "prob q(X, 0, yes) = 0.5.\nprob q(X, 0, no) = 0.5.\n"
+        "prob p(X, t, yes) | q(X, t, yes) = 0.9.\nprob p(X, t, no) | q(X, t, yes) = 0.1.\n"
+        "prob p(X, t, yes) | q(X, t, no) = 0.1.\nprob p(X, t, no) | q(X, t, no) = 0.9.\n"
+        "prob q(X, t, yes) | p(X, t, yes) = 0.9.\nprob q(X, t, no) | p(X, t, yes) = 0.1.\n"
+        "prob q(X, t, yes) | p(X, t, no) = 0.1.\nprob q(X, t, no) | p(X, t, no) = 0.9.\n"
+    )
+    plan = tmp_path / "empty.txt"
+    plan.write_text("")
+    ev = tmp_path / "qev.txt"
+    ev.write_text("q(a, 0, yes).\n")
+    r = runner.invoke(main, [
+        "project", str(kb), "--plan", str(plan), "--evidence", str(ev),
+        "--query", "p(a, T, V)", "--from", "0", "--to", "1",
+    ])
+    assert r.exit_code == 2
+    _one_line_error(r)
+    assert "cycle" in r.output

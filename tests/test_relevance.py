@@ -1,6 +1,10 @@
 """Context discharge, relevant-set fixpoint, and the combined relevant base."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxkb import (
     GroundSentence,
@@ -96,6 +100,33 @@ def test_ras_matches_naive_atom_level_fixpoint(kb):
         discharged = discharge_contexts(rkb, session)
         ras = compute_ras(rkb, discharged, session)
         assert ras.objs == naive_ras_objs(rkb, session) | set(session.evidence)
+
+
+ras_objects = st.integers(min_value=0, max_value=7).map(lambda i: ("o", i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(ras_objects, st.sets(ras_objects, max_size=3)), max_size=16
+    ),
+    evidence=st.sets(ras_objects, max_size=2),
+)
+def test_ras_worklist_matches_repeat_until_stable(edges, evidence):
+    sentences = {
+        GroundSentence((cons, "v"), frozenset((o, "v") for o in ante), 0.5)
+        for cons, ante in edges
+    }
+    session = SimpleNamespace(evidence={o: "v" for o in evidence}, lo=0, hi=0)
+    objs = set(evidence)
+    changed = True
+    while changed:
+        changed = False
+        for s in sentences:
+            if all(o in objs for o, _ in s.ante) and s.cons[0] not in objs:
+                objs.add(s.cons[0])
+                changed = True
+    assert compute_ras(None, sentences, session).objs == objs
 
 
 def test_combined_base_rows_normalized(kb):
