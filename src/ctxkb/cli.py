@@ -21,13 +21,18 @@ import click
 
 from .bench import metrics_csv, paint_pair, compare_encodings
 from .errors import CtxkbError
-from .infer import answer_query
-from .lang import SessionInput, atom_time, validate_session
+from .infer import answer_on_net, answer_query
+from .lang import Atom, SessionInput, Var, atom_time, validate_session
 from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed
 from .netbuild import build_net, export_dot, node_label
 from .oracle import DEFAULT_GUARD, forward_sample, oracle_answer
 from .parser import load_atoms, load_kb, parse_atom
 from .relevance import build_combined_base, check_consistency
+
+
+# The time variable of a projected query: "@" starts no token, so no input can name it.
+# It sorts before every parsed variable name, so instances come out ordered by time.
+_TIME_VAR = "@t"
 
 
 def _fail(code: int, *messages):
@@ -76,31 +81,44 @@ def _bindings_str(theta):
     return ", ".join(f"{k}={v}" for k, v in sorted(theta.items())) or "-"
 
 
-def _emit_instances(kb, query, lo, hi, instances, fmt):
+def _emit_instances(kb, query, lo, hi, steps, fmt):
+    """Print (bindings, posterior) instances as JSON or as a table.
+
+    ``steps`` maps each timestep of a projection to its instances; a query
+    passes its instances under the key None, which drops the time grouping.
+    """
+
+    def records(instances):
+        return [
+            {
+                "bindings": dict(sorted(theta.items())),
+                "values": list(kb.val(vec.query_object[0])),
+                "posterior": list(vec.probabilities),
+            }
+            for theta, vec in instances
+        ]
+
+    timed = None not in steps
+    values = kb.val(query.pred)
     if fmt == "json":
-        payload = {
-            "query": str(query),
-            "bounds": [lo, hi],
-            "instances": [
-                {
-                    "bindings": {k: v for k, v in sorted(theta.items())},
-                    "values": list(kb.val(vec.query_object[0])),
-                    "posterior": list(vec.probabilities),
-                }
-                for theta, vec in instances
-            ],
-        }
+        payload = {"query": str(query), "bounds": [lo, hi]}
+        if timed:
+            payload["timesteps"] = [{"t": t, "instances": records(i)} for t, i in steps.items()]
+        else:
+            payload["instances"] = records(steps[None])
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    if not instances:
+    if not timed and not steps[None]:
         click.echo(f"no answerable instances of {query} in [{lo}, {hi}]")
         return
-    values = kb.val(query.pred)
-    header = ["bindings"] + list(values)
-    rows = [
-        [_bindings_str(theta)] + [f"{p:.9f}" for p in vec.probabilities]
-        for theta, vec in instances
-    ]
+    header = (["t"] if timed else []) + ["bindings"] + list(values)
+    rows = []
+    for t, instances in steps.items():
+        lead = [str(t)] if timed else []
+        if not instances:
+            rows.append(lead + ["-"] * (1 + len(values)))
+        for theta, vec in instances:
+            rows.append(lead + [_bindings_str(theta)] + [f"{p:.9f}" for p in vec.probabilities])
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:
         click.echo("  ".join(c.ljust(w) for c, w in zip(r, widths)))
@@ -172,7 +190,7 @@ def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
         _fail(1, "query: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
     ans = answer_query(kb, session)
-    _emit_instances(kb, session.query, session.lo, session.hi, ans.instances, fmt)
+    _emit_instances(kb, session.query, session.lo, session.hi, {None: ans.instances}, fmt)
 
 
 @main.command()
@@ -181,7 +199,11 @@ def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
               help="File of timed context atoms (the actions).")
 @_with_common
 def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan_path):
-    """Project a plan: answer the query at every timestep in the bounds."""
+    """Project a plan: answer the query at every timestep in the bounds.
+
+    The query's time argument becomes a variable no input can name, so one
+    pipeline run answers every timestep; its instances are grouped by time.
+    """
     kb = load_kb(kb_path)
     if query_text is None:
         _fail(1, "project: --query is required")
@@ -195,49 +217,15 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     if tp is None:
         _fail(1, f"project: query predicate {base_query.pred!r} has no time attribute")
 
-    from .lang import Atom, Const, Var
-
-    rows = []
-    for t in range(frm, to + 1):
-        args = list(base_query.args)
-        args[tp] = Const(t)
-        q_t = Atom(base_query.pred, tuple(args))
-        s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=q_t)
-        ans = answer_query(kb, validate_session(kb, s))
-        rows.append((t, ans.instances))
-
-    if fmt == "json":
-        payload = {
-            "query": str(base_query),
-            "bounds": [frm, to],
-            "timesteps": [
-                {
-                    "t": t,
-                    "instances": [
-                        {
-                            "bindings": {k: v for k, v in sorted(theta.items())},
-                            "values": list(kb.val(vec.query_object[0])),
-                            "posterior": list(vec.probabilities),
-                        }
-                        for theta, vec in instances
-                    ],
-                }
-                for t, instances in rows
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    values = kb.val(base_query.pred)
-    header = ["t", "bindings"] + list(values)
-    flat = []
-    for t, instances in rows:
-        if not instances:
-            flat.append([str(t), "-"] + ["-"] * len(values))
-        for theta, vec in instances:
-            flat.append([str(t), _bindings_str(theta)] + [f"{p:.9f}" for p in vec.probabilities])
-    widths = [max(len(r[i]) for r in [header] + flat) for i in range(len(header))]
-    for r in [header] + flat:
-        click.echo("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    args = list(base_query.args)
+    args[tp] = Var(_TIME_VAR)
+    query_all = Atom(base_query.pred, tuple(args))
+    s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=query_all)
+    steps = {t: [] for t in range(frm, to + 1)}
+    for theta, vec in answer_query(kb, validate_session(kb, s)).instances:
+        theta = dict(theta)
+        steps[theta.pop(_TIME_VAR)].append((theta, vec))
+    _emit_instances(kb, base_query, frm, to, steps, fmt)
 
 
 @main.command("export-dot")
@@ -270,7 +258,8 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
     if query_text is None:
         _fail(1, "oracle-diff: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
-    ans = answer_query(kb, session)
+    net, subs = build_net(kb, session)
+    ans = answer_on_net(kb, session, net, subs)
     ref = oracle_answer(kb, session, guard=guard)
     worst = 0.0
     pairs = list(zip(ans.instances, ref))
@@ -285,12 +274,7 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
         )
     sample_note = None
     if seed is not None:
-        net, subs = build_net(kb, session)
-        targets = []
-        from .netbuild import query_obj
-
-        for theta in subs:
-            targets.append(query_obj(kb, session.query, theta))
+        targets = [vec.query_object for _, vec in ans.instances]
         vecs, accepted = forward_sample(kb, net, 20000, seed, targets, session.evidence)
         sample_note = f"sampling cross-check: {accepted} accepted samples at seed {seed}"
     if fmt == "json":

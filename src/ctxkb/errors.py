@@ -45,12 +45,6 @@ class SessionError(CtxkbError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class DepthBoundError(CtxkbError):
-    """Goal evaluation exceeded the depth bound (suspected non-termination)."""
-
-    exit_code = 2
-
-
 class CycleError(CtxkbError):
     """A dependency cycle was found; ``witness`` lists the atoms/objects on it."""
 

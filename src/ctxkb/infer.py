@@ -25,6 +25,7 @@ from .lang import (
     obj_sort_key,
     validate_session,
 )
+from .logic import ancestors
 from .netbuild import BayesNet, NetNode, build_net, query_obj
 
 NORM_TOL = 1e-9
@@ -201,9 +202,10 @@ def eliminate(
         if o not in net.nodes:
             raise CtxkbError(f"evidence object {o} is not in the network")
     fb = FactorBuilder(kb)
+    parents = {o: node.parents for o, node in net.nodes.items()}
     out = {}
     for target in targets:
-        relevant = net.ancestors_of(set(evidence) | {target})
+        relevant = ancestors(parents, set(evidence) | {target})
         factors = [
             fb.reduce(fb.cpt_factor(net.nodes[o]), evidence)
             for o in sorted(relevant, key=obj_sort_key)

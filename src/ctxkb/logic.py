@@ -1,19 +1,22 @@
-"""Substitutions, unification, and SLDNF over the grounded context program.
+"""Substitutions, unification, grounding, SLDNF and dependency graphs.
 
 The context base is an acyclic normal logic program evaluated under Clark's
 completion semantics.  Because sessions confine time to a finite window and
-all attribute domains are finite, the program is grounded up front; goal
-evaluation is then a depth-bounded recursion over ground clauses, with
-negation as (finite) failure.  On an acyclic ground program this computes
-exactly the unique supported model of the completion.
+all attribute domains are finite, the program is grounded up front by
+``groundings``, the one typed-grounding routine; goal evaluation then walks
+an explicit proof stack over ground clauses, with negation as (finite)
+failure.  On an acyclic ground program this computes exactly the unique
+supported model of the completion.  ``topo_order`` and ``ancestors`` are the
+graph walks every later stage shares.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CycleError, Diagnostic, DepthBoundError, NotAllowedError
+from .errors import CycleError, Diagnostic, NotAllowedError
 from .lang import (
     TIME_DOMAIN,
     Atom,
@@ -21,6 +24,8 @@ from .lang import (
     KnowledgeBase,
     TimeExpr,
     Var,
+    obj_of,
+    obj_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -110,41 +115,23 @@ def _bind(name: str, term):
 
 
 # ---------------------------------------------------------------------------
-# Grounding the context program
-
-CAtom = tuple  # ground c-atom as (pred, arg1, ..., argn)
+# Grounding
 
 
-def catom_key(atom: Atom) -> CAtom:
-    return (atom.pred,) + tuple(t.value for t in atom.args)
+def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
+    """Every type-consistent substitution of the atoms' variables, times in [lo, hi].
 
-
-@dataclass
-class GroundContextProgram:
-    """Ground clauses of C ∪ CB over the session window."""
-
-    clauses: dict  # head CAtom -> list of bodies; body = tuple of (sign, CAtom)
-    facts: frozenset  # ground(C)
-    atoms: frozenset  # Herbrand base over the declared domains and window
-    depth_bound: int = 0
-
-    def __post_init__(self):
-        if not self.depth_bound:
-            self.depth_bound = len(self.atoms) + 1
-
-
-def clause_groundings(kb: KnowledgeBase, head: Atom, body, lo: int, hi: int):
-    """Type-consistent ground instances of a clause, times confined to [lo, hi]."""
-    var_domains, _ = _variable_typing(kb, [head] + [a for _, a in body], lo, hi)
+    Yields dicts from variable name to ``Const``; the names vary in sorted
+    order, each over its domain order or ascending time.  Atoms whose typing
+    leaves some variable no value, or that name a constant time outside the
+    window, yield nothing; atoms without variables yield one empty dict.
+    """
+    var_domains = _variable_typing(kb, atoms, lo, hi)
     if var_domains is None:
         return
-    names = list(var_domains)
-    pools = [var_domains[n] for n in names]
-    for combo in itertools.product(*pools):
-        subst = {n: Const(v) for n, v in zip(names, combo)}
-        g_head = apply_subst(head, subst)
-        g_body = tuple((sign, apply_subst(a, subst)) for sign, a in body)
-        yield g_head, g_body
+    names = sorted(var_domains)
+    for combo in itertools.product(*(var_domains[n] for n in names)):
+        yield {n: Const(v) for n, v in zip(names, combo)}
 
 
 def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
@@ -160,7 +147,7 @@ def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
                 name, off = term.var, term.offset
             else:
                 if dom.name == TIME_DOMAIN and not (lo <= term.value <= hi):
-                    return None, None  # constant time outside the window
+                    return None  # constant time outside the window
                 continue
             if dom.name == TIME_DOMAIN:
                 offsets.setdefault(name, set()).add(off)
@@ -171,36 +158,39 @@ def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
         t_lo = max(lo - off for off in offs)
         t_hi = min(hi - off for off in offs)
         if t_lo > t_hi:
-            return None, None
+            return None
         var_domains[name] = tuple(range(t_lo, t_hi + 1))
     for members in var_domains.values():
         if not members:
-            return None, None
-    return var_domains, offsets
+            return None
+    return var_domains
+
+
+CAtom = tuple  # ground c-atom as (pred, arg1, ..., argn)
+
+
+def catom_key(atom: Atom) -> CAtom:
+    return (atom.pred,) + tuple(t.value for t in atom.args)
+
+
+@dataclass
+class GroundContextProgram:
+    """Ground clauses of C ∪ CB over the session window."""
+
+    clauses: dict  # head CAtom -> list of bodies; body = tuple of (sign, CAtom)
+    facts: frozenset  # ground(C)
 
 
 def ground_context_program(
     kb: KnowledgeBase, context: frozenset, lo: int, hi: int
 ) -> GroundContextProgram:
     clauses: dict = {}
-    atoms = set(context)
-    for c in kb.preds.values():
-        if c.kind != "c":
-            continue
-        pools = []
-        for d in c.attribute_domains:
-            if d == TIME_DOMAIN:
-                pools.append(tuple(range(lo, hi + 1)))
-            else:
-                pools.append(kb.domains[d].members)
-        for combo in itertools.product(*pools):
-            atoms.add((c.name,) + combo)
     for clause in kb.cb:
-        for g_head, g_body in clause_groundings(kb, clause.head, clause.body, lo, hi):
-            key = catom_key(g_head)
-            body = tuple((sign, catom_key(a)) for sign, a in g_body)
-            clauses.setdefault(key, []).append(body)
-    return GroundContextProgram(clauses, frozenset(context), frozenset(atoms))
+        atoms = [clause.head] + [a for _, a in clause.body]
+        for theta in groundings(kb, atoms, lo, hi):
+            body = tuple((sign, catom_key(apply_subst(a, theta))) for sign, a in clause.body)
+            clauses.setdefault(catom_key(apply_subst(clause.head, theta)), []).append(body)
+    return GroundContextProgram(clauses, frozenset(context))
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +200,44 @@ def ground_context_program(
 class _Solver:
     def __init__(self, program: GroundContextProgram):
         self.program = program
-        self.memo: dict = {}
+        self.memo: dict = dict.fromkeys(program.facts, True)
 
-    def holds(self, atom: CAtom, depth: int = 0) -> bool:
-        if depth > self.program.depth_bound:
-            raise DepthBoundError(
-                f"depth bound {self.program.depth_bound} exceeded while proving {atom}"
-            )
-        if atom in self.memo:
-            return self.memo[atom]
-        if atom in self.program.facts:
-            self.memo[atom] = True
-            return True
-        result = False
-        for body in self.program.clauses.get(atom, ()):
-            if all(
-                self.holds(b, depth + 1) if sign else not self.holds(b, depth + 1)
-                for sign, b in body
-            ):
-                result = True
-                break
-        self.memo[atom] = result
-        return result
+    def holds(self, atom: CAtom) -> bool:
+        """Truth of a ground c-atom under the completion, by an explicit proof stack.
+
+        Bodies are tried in order and literals left to right, as in SLDNF.  A
+        goal met again on its own proof path raises CycleError.
+        """
+        memo, clauses = self.memo, self.program.clauses
+        if atom in memo:
+            return memo[atom]
+        path = [[atom, clauses.get(atom, ()), 0, 0]]  # goal, its bodies, body index, literal index
+        on_path = {atom}
+        while path:
+            frame = path[-1]
+            goal, bodies, bi, li = frame
+            if bi == len(bodies) or li == len(bodies[bi]):
+                memo[goal] = bi < len(bodies)  # a body whose every literal held
+                path.pop()
+                on_path.discard(goal)
+                continue
+            sign, b = bodies[bi][li]
+            if b in memo:
+                if memo[b] == sign:
+                    frame[3] += 1
+                else:
+                    frame[2], frame[3] = bi + 1, 0
+            elif b in on_path:
+                goals = [f[0] for f in path]
+                raise CycleError(goals[goals.index(b):] + [b], "context base")
+            else:
+                path.append([b, clauses.get(b, ()), 0, 0])
+                on_path.add(b)
+        return memo[atom]
+
+    def proves(self, literals) -> bool:
+        """Whether every ground literal (sign, CAtom) holds."""
+        return all(self.holds(a) == sign for sign, a in literals)
 
 
 def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
@@ -243,29 +249,69 @@ def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
     """
     solver = _Solver(program)
     lits = list(goal)
+
+    def proven(theta):
+        return solver.proves((sign, catom_key(apply_subst(a, theta))) for sign, a in lits)
+
     if all(a.is_ground() for _, a in lits):
-        return all(
-            solver.holds(catom_key(a)) if sign else not solver.holds(catom_key(a))
-            for sign, a in lits
-        )
+        return proven({})
     if kb is None:
         raise ValueError("non-ground goals need the knowledge base for typing")
-    var_domains, _ = _variable_typing(kb, [a for _, a in lits], lo, hi)
-    if var_domains is None:
-        return []
-    names = sorted(var_domains)
-    answers = []
-    for combo in itertools.product(*(var_domains[n] for n in names)):
-        subst = {n: Const(v) for n, v in zip(names, combo)}
-        ok = True
-        for sign, a in lits:
-            h = solver.holds(catom_key(apply_subst(a, subst)))
-            if h != sign:
-                ok = False
-                break
-        if ok:
-            answers.append(subst)
-    return answers
+    return [theta for theta in groundings(kb, [a for _, a in lits], lo, hi) if proven(theta)]
+
+
+# ---------------------------------------------------------------------------
+# Dependency graphs
+
+
+def topo_order(parents: dict, where: str) -> list:
+    """Kahn's order of a dependency graph: parents first, ties by ``obj_sort_key``.
+
+    ``parents`` maps each node to the nodes it depends on; a dependency that
+    is not a key is ignored.  A cycle raises CycleError with a closed witness
+    (first node == last node), each node followed by one of its parents.
+    """
+    keys = {n: obj_sort_key(n) for n in parents}
+    children: dict = {n: [] for n in parents}
+    indeg = dict.fromkeys(parents, 0)
+    for n, ps in parents.items():
+        for p in ps:
+            if p in children:
+                children[p].append(n)
+                indeg[n] += 1
+    ready = [(keys[n], n) for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, n = heapq.heappop(ready)
+        order.append(n)
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, (keys[c], c))
+    if len(order) == len(parents):
+        return order
+    # every node left over waits on a parent that is also left over
+    left = {n for n, d in indeg.items() if d}
+    n = min(left, key=keys.get)
+    walk: dict = {}  # node -> position on the walk
+    while n not in walk:
+        walk[n] = len(walk)
+        n = min((p for p in parents[n] if p in left), key=keys.get)
+    cycle = list(walk)[walk[n]:]
+    raise CycleError(cycle + [n], where)
+
+
+def ancestors(parents: dict, seeds) -> set:
+    """The seeds and everything they depend on through ``parents``, transitively."""
+    seen = set()
+    stack = list(seeds)
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(parents.get(n, ()))
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +325,10 @@ def check_acyclic_cb(kb: KnowledgeBase, lo: int, hi: int):
     """
     program = ground_context_program(kb, frozenset(), lo, hi)
     deps = {
-        head: sorted({b for body in bodies for _, b in body})
+        head: {b for body in bodies for _, b in body}
         for head, bodies in program.clauses.items()
     }
-    _find_cycle(deps, "context base")
+    topo_order(deps, "context base")
 
 
 def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
@@ -291,51 +337,12 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
     Conservative: considers every type-consistent ground instance, ignoring
     contexts.  Works at the object level (value variants share a node).
     """
-    from .lang import obj_of  # local import to avoid cycle at module load
-
     deps: dict = {}
     for s in kb.pb:
-        for g_cons, g_ante in _sentence_groundings(kb, s, lo, hi):
-            node = obj_of(g_cons)
-            deps.setdefault(node, set()).update(obj_of(a) for a in g_ante)
-    deps = {k: sorted(v, key=str) for k, v in deps.items()}
-    _find_cycle(deps, "probabilistic base")
-
-
-def _sentence_groundings(kb: KnowledgeBase, s, lo: int, hi: int):
-    atoms = [s.cons] + list(s.ante) + [a for _, a in s.context]
-    var_domains, _ = _variable_typing(kb, atoms, lo, hi)
-    if var_domains is None:
-        return
-    names = list(var_domains)
-    for combo in itertools.product(*(var_domains[n] for n in names)):
-        subst = {n: Const(v) for n, v in zip(names, combo)}
-        yield apply_subst(s.cons, subst), tuple(apply_subst(a, subst) for a in s.ante)
-
-
-def _find_cycle(deps: dict, where: str):
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in deps}
-    stack: list = []
-
-    def visit(n):
-        color[n] = GREY
-        stack.append(n)
-        for m in deps.get(n, ()):
-            c = color.get(m, BLACK if m not in deps else WHITE)
-            if m not in deps:
-                continue
-            if color[m] == GREY:
-                i = stack.index(m)
-                raise CycleError(stack[i:] + [m], where)
-            if color[m] == WHITE:
-                visit(m)
-        stack.pop()
-        color[n] = BLACK
-
-    for n in sorted(deps, key=str):
-        if color[n] == WHITE:
-            visit(n)
+        for theta in groundings(kb, list(s.atoms()), lo, hi):
+            node = obj_of(apply_subst(s.cons, theta))
+            deps.setdefault(node, set()).update(obj_of(apply_subst(a, theta)) for a in s.ante)
+    topo_order(deps, "probabilistic base")
 
 
 def check_allowed(kb: KnowledgeBase):

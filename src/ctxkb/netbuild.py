@@ -9,12 +9,10 @@ or evidence never enter the network.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import OutOfBoundsSupportError, QuantificationError
 from .lang import (
-    TIME_DOMAIN,
     Atom,
     Const,
     KnowledgeBase,
@@ -22,12 +20,11 @@ from .lang import (
     SessionInput,
     ValidatedSession,
     Var,
-    obj_of,
     obj_sort_key,
     obj_time,
     validate_session,
 )
-from .logic import _find_cycle, _variable_typing, apply_subst, unify
+from .logic import apply_subst, groundings, topo_order, unify
 from .relevance import CombinedBase, RelevantAtomSet, build_combined_base
 
 
@@ -48,38 +45,22 @@ class BayesNet:
     nodes: dict = field(default_factory=dict)  # Obj -> NetNode
     order: tuple = ()  # topological, parents before children
 
-    @property
-    def roots(self):
-        return [o for o in self.order if not self.nodes[o].parents]
 
-    def ancestors_of(self, objs):
-        """Reflexive-transitive parent closure inside the network."""
-        seen = set()
-        stack = [o for o in objs if o in self.nodes]
-        while stack:
-            o = stack.pop()
-            if o in seen:
-                continue
-            seen.add(o)
-            stack.extend(self.nodes[o].parents)
-        return seen
+def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int, objs):
+    """(bindings, object) of each ground query instance whose object is in ``objs``.
 
-
-def query_substitutions(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
-    """All type-consistent bindings of the query's non-value variables."""
-    var_domains, _ = _variable_typing(kb, [query], lo, hi)
-    if var_domains is None:
-        return []
-    names = sorted(n for n in var_domains if n != _value_var(query))
+    Bindings cover the query's non-value variables; the list is in answer
+    order, sorted by bindings.
+    """
+    pattern = Atom(query.pred, query.args[:-1])  # the object part; the value stays free
     out = []
-    for combo in itertools.product(*(var_domains[n] for n in names)):
-        out.append(dict(zip(names, combo)))
+    for theta in groundings(kb, [pattern], lo, hi):
+        theta = {n: c.value for n, c in theta.items()}
+        o = query_obj(kb, query, theta)
+        if o in objs:
+            out.append((theta, o))
+    out.sort(key=lambda pair: sorted(pair[0].items(), key=str))
     return out
-
-
-def _value_var(query: Atom):
-    last = query.args[-1]
-    return last.name if isinstance(last, Var) else None
 
 
 def query_obj(kb: KnowledgeBase, query: Atom, theta: dict) -> Obj:
@@ -108,18 +89,12 @@ def build_net(kb: KnowledgeBase, session):
 
 
 def assemble_net(kb: KnowledgeBase, session: ValidatedSession, base: CombinedBase, ras: RelevantAtomSet):
-    answered = []
-    targets = []
+    instances = []
     if session.query is not None:
-        for theta in query_substitutions(kb, session.query, session.lo, session.hi):
-            o = query_obj(kb, session.query, theta)
-            if o in ras.objs:
-                answered.append(theta)
-                targets.append(o)
-    targets.extend(session.evidence)
+        instances = query_instances(kb, session.query, session.lo, session.hi, ras.objs)
 
     reached = set()
-    stack = sorted(set(targets), key=obj_sort_key)
+    stack = sorted({o for _, o in instances} | set(session.evidence), key=obj_sort_key)
     gaps = []
     while stack:
         obj = stack.pop()
@@ -140,43 +115,16 @@ def assemble_net(kb: KnowledgeBase, session: ValidatedSession, base: CombinedBas
     if gaps:
         raise QuantificationError(gaps)
 
-    deps = {o: sorted(base.tables[o].parents, key=obj_sort_key) for o in reached}
-    _find_cycle(deps, "supporting network")
+    order = topo_order({o: base.tables[o].parents for o in reached}, "supporting network")
 
     nodes = {}
-    for obj in reached:
+    for obj in order:
         t = obj_time(kb, obj)
         if t is not None and not session.lo <= t <= session.hi:
             raise OutOfBoundsSupportError(obj)
         table = base.tables[obj]
         nodes[obj] = NetNode(obj, table.values, table.parents, dict(table.rows))
-
-    order = _topo_order(nodes)
-    net = BayesNet(nodes, tuple(order))
-    answered.sort(key=lambda th: sorted(th.items(), key=str))
-    return net, answered
-
-
-def _topo_order(nodes: dict):
-    indeg = {o: len(nodes[o].parents) for o in nodes}
-    children: dict = {o: [] for o in nodes}
-    for o, node in nodes.items():
-        for p in node.parents:
-            children[p].append(o)
-    ready = sorted((o for o, d in indeg.items() if d == 0), key=obj_sort_key)
-    order = []
-    while ready:
-        o = ready.pop(0)
-        order.append(o)
-        added = []
-        for c in children[o]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                added.append(c)
-        if added:
-            ready.extend(added)
-            ready.sort(key=obj_sort_key)
-    return order
+    return BayesNet(nodes, tuple(order)), [theta for theta, _ in instances]
 
 
 def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int) -> bool:
@@ -186,10 +134,8 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int) -> boo
         theta = unify(s.cons, pattern)
         if theta is None:
             continue
-        atoms = [s.cons] + list(s.ante) + [a for _, a in s.context]
-        bound = [apply_subst(a, theta) for a in atoms]
-        var_domains, _ = _variable_typing(kb, bound, lo, hi)
-        if var_domains is None:
+        bound = [apply_subst(a, theta) for a in s.atoms()]
+        if next(groundings(kb, bound, lo, hi), None) is None:
             return True  # matches in general, but only outside the window
     return False
 

@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import EnumerationGuardError, ImpossibleEvidenceError
 from .infer import PosteriorVector
-from .lang import KnowledgeBase, Obj, obj_sort_key
-from .netbuild import BayesNet
-from .relevance import CombinedBase, RelevantAtomSet
+from .lang import KnowledgeBase, Obj, SessionInput, obj_sort_key, validate_session
+from .logic import ancestors, topo_order
+from .netbuild import BayesNet, query_instances
+from .relevance import CombinedBase, RelevantAtomSet, build_combined_base
 
 DEFAULT_GUARD = 10**7
 
@@ -37,41 +38,6 @@ class JointDistribution:
         return sum(p for m, p in self.models if all(m[i] == v for i, v in checks))
 
 
-def _topo(tables: dict, objs):
-    order = []
-    seen = set()
-
-    def visit(o, trail):
-        if o in seen or o not in tables:
-            return
-        if o in trail:
-            return  # cycles are caught elsewhere; avoid infinite recursion here
-        trail.add(o)
-        for p in sorted(tables[o].parents, key=obj_sort_key):
-            visit(p, trail)
-        trail.remove(o)
-        seen.add(o)
-        order.append(o)
-
-    for o in sorted(objs, key=obj_sort_key):
-        visit(o, set())
-    return order
-
-
-def ancestor_closure(base: CombinedBase, seeds):
-    seen = set()
-    stack = list(seeds)
-    while stack:
-        o = stack.pop()
-        if o in seen:
-            continue
-        seen.add(o)
-        t = base.tables.get(o)
-        if t is not None:
-            stack.extend(t.parents)
-    return seen
-
-
 def enumerate_joint(
     base: CombinedBase,
     ras: RelevantAtomSet = None,
@@ -90,7 +56,9 @@ def enumerate_joint(
     """
     if objs is None:
         objs = ras.objs if ras is not None else base.tables.keys()
-    order = _topo(base.tables, objs)
+    order = topo_order(
+        {o: base.tables[o].parents for o in objs if o in base.tables}, "combined relevant base"
+    )
     if set(order) != set(objs):
         missing = sorted(set(objs) - set(order), key=obj_sort_key)
         raise KeyError(f"objects without conditional tables: {missing[:3]}")
@@ -231,22 +199,13 @@ def oracle_answer(kb: KnowledgeBase, session, guard: int = DEFAULT_GUARD):
     Returns a list of (substitution, PosteriorVector) in the same deterministic
     order as ``infer.answer_query``.
     """
-    from .lang import SessionInput, validate_session
-    from .netbuild import query_obj, query_substitutions
-    from .relevance import build_combined_base
-
     if isinstance(session, SessionInput):
         session = validate_session(kb, session)
     base, ras, _ = build_combined_base(kb, session)
-    answered = []
-    for theta in query_substitutions(kb, session.query, session.lo, session.hi):
-        o = query_obj(kb, session.query, theta)
-        if o in ras.objs:
-            answered.append((theta, o))
-    answered.sort(key=lambda pair: sorted(pair[0].items(), key=str))
+    parents = {o: t.parents for o, t in base.tables.items()}
     results = []
-    for theta, target in answered:
-        objs = ancestor_closure(base, [target] + list(session.evidence))
+    for theta, target in query_instances(kb, session.query, session.lo, session.hi, ras.objs):
+        objs = ancestors(parents, [target] + list(session.evidence))
         joint = enumerate_joint(base, objs=objs, guard=guard, evidence=session.evidence)
         results.append((theta, conditional(joint, target, session.evidence, kb)))
     return results

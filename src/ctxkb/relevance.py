@@ -4,7 +4,7 @@ The pipeline turns a knowledge base plus a validated session into the
 combined relevant base (one conditional table per relevant object):
 
     discharge_contexts -> compute_ras -> restrict_rpb -> combine_rpb
-    -> check_complete_quantification -> check_consistency
+    -> check_consistency
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .combining import CauseMechanism, RuleRegistry, builtin_registry
-from .errors import ConflictingSentencesError, ConsistencyError, CycleError, QuantificationError
+from .errors import ConflictingSentencesError, ConsistencyError, CycleError
 from .lang import (
-    Const,
     KnowledgeBase,
     Obj,
     ValidatedSession,
@@ -24,13 +23,7 @@ from .lang import (
     obj_sort_key,
     val_of,
 )
-from .logic import (
-    _Solver,
-    _variable_typing,
-    apply_subst,
-    catom_key,
-    ground_context_program,
-)
+from .logic import _Solver, apply_subst, catom_key, ground_context_program, groundings, topo_order
 
 ROW_SUM_TOL = 1e-9
 
@@ -71,11 +64,6 @@ class RelevantAtomSet:
     lo: int
     hi: int
 
-    def atoms(self, kb: KnowledgeBase):
-        for o in sorted(self.objs, key=obj_sort_key):
-            for v in kb.val(o[0]):
-                yield (o, v)
-
 
 @dataclass
 class ObjTable:
@@ -115,47 +103,29 @@ def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession):
     """Every type-consistent ground PB instance whose context guard holds."""
     program = ground_context_program(kb, session.context, session.lo, session.hi)
     solver = _Solver(program)
-    out = []
-    seen = set()
+    out: dict = {}  # DischargedInstance -> None, first occurrence first
     for s in kb.pb:
-        atoms = [s.cons] + list(s.ante) + [a for _, a in s.context]
-        var_domains, _ = _variable_typing(kb, atoms, session.lo, session.hi)
-        if var_domains is None:
-            continue
-        names = list(var_domains)
-        for combo in itertools.product(*(var_domains[n] for n in names)):
-            subst = {n: Const(v) for n, v in zip(names, combo)}
+        for theta in groundings(kb, list(s.atoms()), session.lo, session.hi):
             g_context = tuple(
-                (sign, catom_key(apply_subst(a, subst))) for sign, a in s.context
+                (sign, catom_key(apply_subst(a, theta))) for sign, a in s.context
             )
-            if not all(
-                solver.holds(atom) if sign else not solver.holds(atom)
-                for sign, atom in g_context
-            ):
+            if not solver.proves(g_context):
                 continue
-            g_cons = apply_subst(s.cons, subst)
-            g_ante = [apply_subst(a, subst) for a in s.ante]
             ante_pairs = {}
-            coherent = True
-            for a in g_ante:
-                o, v = obj_of(a), val_of(a)
-                if ante_pairs.get(o, v) != v:
-                    coherent = False  # incoherent instance can never hold; drop it
-                    break
-                ante_pairs[o] = v
-            if not coherent:
-                continue
-            gs = GroundSentence(
-                (obj_of(g_cons), val_of(g_cons)),
-                frozenset(ante_pairs.items()),
-                s.alpha,
-            )
-            key = (gs.cons, gs.ante, gs.alpha, g_context)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(DischargedInstance(gs, g_context))
-    return out
+            for a in s.ante:
+                g = apply_subst(a, theta)
+                o, v = obj_of(g), val_of(g)
+                if ante_pairs.setdefault(o, v) != v:
+                    break  # incoherent instance can never hold; drop it
+            else:
+                g_cons = apply_subst(s.cons, theta)
+                gs = GroundSentence(
+                    (obj_of(g_cons), val_of(g_cons)),
+                    frozenset(ante_pairs.items()),
+                    s.alpha,
+                )
+                out[DischargedInstance(gs, g_context)] = None
+    return list(out)
 
 
 def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession):
@@ -293,20 +263,11 @@ def quantification_gaps(base: CombinedBase, ras: RelevantAtomSet):
     return gaps
 
 
-def check_complete_quantification(base: CombinedBase, ras: RelevantAtomSet):
-    gaps = quantification_gaps(base, ras)
-    if gaps:
-        raise QuantificationError(gaps)
-
-
 def consistency_violations(base: CombinedBase):
     violations = []
     # (1) no object influenced by itself
-    deps = {o: sorted(t.parents, key=obj_sort_key) for o, t in base.tables.items()}
     try:
-        from .logic import _find_cycle
-
-        _find_cycle(deps, "combined relevant base")
+        topo_order({o: t.parents for o, t in base.tables.items()}, "combined relevant base")
     except CycleError as e:
         violations.append(f"object influenced by itself: {' -> '.join(str(w) for w in e.witness)}")
     # (2) every row sums to one

@@ -266,3 +266,64 @@ def test_project_cycle_exit_2(runner, tmp_path):
     assert r.exit_code == 2
     _one_line_error(r)
     assert "cycle" in r.output
+
+
+LOOK_AHEAD_KB = """
+value p = { no, yes }.
+cpred start(time).
+cpred on(time).
+pred p(time).
+ctx on(T) <- start(T).
+ctx on(T) <- on(T+1).
+prob p(T, yes) = 0.9 <- on(T).
+prob p(T, no) = 0.1 <- on(T).
+prob p(T, yes) = 0.2 <- not on(T).
+prob p(T, no) = 0.8 <- not on(T).
+"""
+
+
+def test_query_long_look_ahead_context_chain(runner, tmp_path):
+    # proving on(0) walks on(1), on(2), ... up to start(2000)
+    kb = tmp_path / "look.ckb"
+    kb.write_text(LOOK_AHEAD_KB)
+    ctx = tmp_path / "start.txt"
+    ctx.write_text("start(2000).\n")
+    r = runner.invoke(main, [
+        "query", str(kb), "--context", str(ctx), "--query", "p(0, V)",
+        "--to", "2000", "--format", "json",
+    ])
+    assert r.exit_code == 0, r.output
+    [inst] = json.loads(r.output)["instances"]
+    assert inst["posterior"] == pytest.approx([0.1, 0.9], abs=1e-12)
+
+
+def test_query_self_negating_context_exit_2(runner, tmp_path):
+    kb = tmp_path / "selfneg.ckb"
+    kb.write_text(LOOK_AHEAD_KB.replace("ctx on(T) <- on(T+1).", "ctx on(T) <- not on(T)."))
+    r = runner.invoke(main, ["query", str(kb), "--query", "p(0, V)", "--to", "0"])
+    assert r.exit_code == 2
+    _one_line_error(r)
+    assert "cycle" in r.output
+
+
+def test_project_matches_query_at_each_timestep(runner, cardiac, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("epi(john, 0). epi(john, 2). dfib(john, 2). lido(mary, 1). cpr(mary, 0).\n")
+    ev = tmp_path / "ev.txt"
+    ev.write_text("rhythm(john, 0, vf). rhythm(mary, 0, vt).\n")
+    common = ["--evidence", str(ev), "--from", "0", "--to", "4", "--format", "json"]
+    r = runner.invoke(main, [
+        "project", cardiac["kb"], "--plan", str(plan), "--query", "rhythm(X, T, V)", *common,
+    ])
+    assert r.exit_code == 0, r.output
+    steps = json.loads(r.output)["timesteps"]
+    assert [row["t"] for row in steps] == [0, 1, 2, 3, 4]
+    for row in steps:
+        q = runner.invoke(main, [
+            "query", cardiac["kb"], "--context", str(plan),
+            "--query", f"rhythm(X, {row['t']}, V)", *common,
+        ])
+        assert q.exit_code == 0, q.output
+        expected = json.loads(q.output)["instances"]
+        assert [i["bindings"] for i in expected] == [{"X": "john"}, {"X": "mary"}]
+        assert row["instances"] == expected

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ctxkb import answer_query, build_net
 from ctxkb.infer import FactorBuilder, eliminate, min_fill_order
 from ctxkb.lang import obj_sort_key
+from ctxkb.logic import ancestors
 from ctxkb.netbuild import query_obj
 
 from conftest import session_for
@@ -54,7 +55,8 @@ def reference_min_fill_order(scopes, keep):
 def elimination_scopes(kb, net, evidence, target):
     """The factor scopes that ``eliminate`` hands to ``min_fill_order`` for one target."""
     fb = FactorBuilder(kb)
-    relevant = net.ancestors_of(set(evidence) | {target})
+    parents = {o: node.parents for o, node in net.nodes.items()}
+    relevant = ancestors(parents, set(evidence) | {target})
     return [
         fb.reduce(fb.cpt_factor(net.nodes[o]), evidence).scope
         for o in sorted(relevant, key=obj_sort_key)

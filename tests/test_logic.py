@@ -23,6 +23,7 @@ from ctxkb.logic import (
     apply_subst,
     catom_key,
     ground_context_program,
+    topo_order,
 )
 
 
@@ -134,9 +135,7 @@ def test_sldnf_agrees_with_completion_oracle():
         clause_map = {}
         for head, body in clauses:
             clause_map.setdefault(head, []).append(body)
-        program = GroundContextProgram(
-            clause_map, facts, frozenset(("c%d" % i,) for i in range(n))
-        )
+        program = GroundContextProgram(clause_map, facts)
         goals = [[(True, Atom("c%d" % i, ()))] for i in range(n)]
         for i, goal in enumerate(goals):
             got = sldnf_solve(program, goal)
@@ -254,7 +253,7 @@ def test_allowed_via_time_position():
 
 
 def test_sentence_with_out_of_window_constant_never_grounds():
-    from ctxkb.logic import _sentence_groundings
+    from ctxkb.logic import groundings
 
     kb = parse_kb(
         """
@@ -264,11 +263,35 @@ def test_sentence_with_out_of_window_constant_never_grounds():
         prob p(0, no) = 0.5.
         """
     )
-    assert list(_sentence_groundings(kb, kb.pb[0], 1, 2)) == []
-    assert list(_sentence_groundings(kb, kb.pb[0], 0, 2)) == [
+    s = kb.pb[0]
+
+    def sentence_groundings(lo, hi):
+        return [
+            (apply_subst(s.cons, theta), tuple(apply_subst(a, theta) for a in s.ante))
+            for theta in groundings(kb, list(s.atoms()), lo, hi)
+        ]
+
+    assert sentence_groundings(1, 2) == []
+    assert sentence_groundings(0, 2) == [
         (apply_subst(kb.pb[0].cons, {}), ()),
     ]
 
 
 def test_catom_key():
     assert catom_key(A("epi", "john", 1)) == ("epi", "john", 1)
+
+
+def test_topo_order_long_chain_and_its_loop():
+    # each node depends on the next; the dependent end sorts first
+    n = 3000
+    node = lambda i: ("n", f"{i:05d}")  # noqa: E731
+    parents = {node(i): [node(i + 1)] for i in range(n)}
+    parents[node(n)] = []
+    assert topo_order(parents, "chain") == [node(i) for i in range(n, -1, -1)]
+    parents[node(n)] = [node(0)]
+    with pytest.raises(CycleError) as e:
+        topo_order(parents, "loop")
+    witness = e.value.witness
+    assert witness[0] == witness[-1]
+    assert len(witness) == n + 2
+    assert all(b in parents[a] for a, b in zip(witness, witness[1:]))

@@ -15,7 +15,8 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError
-from ctxkb.oracle import ancestor_closure, satisfaction_gap
+from ctxkb.logic import ancestors
+from ctxkb.oracle import satisfaction_gap
 from ctxkb.relevance import build_combined_base
 
 from conftest import session_for
@@ -108,7 +109,8 @@ def test_guard_trips_on_huge_spaces(cardiac_kb):
 def test_ancestor_closure(cardiac_kb):
     vs = session_for(cardiac_kb, lo=0, hi=2, query="cd(john, 2, V)")
     base, ras, _ = build_combined_base(cardiac_kb, vs)
-    closure = ancestor_closure(base, [("cd", "john", 2)])
+    parents = {o: t.parents for o, t in base.tables.items()}
+    closure = ancestors(parents, [("cd", "john", 2)])
     assert ("cd", "john", 0) in closure
     assert ("poa", "john", 2) in closure
     assert not any(o[1] == "mary" for o in closure)
