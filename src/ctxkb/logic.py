@@ -135,7 +135,10 @@ def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
 
 
 def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
-    """Map each variable to its finite ground range, or None when empty."""
+    """Map each variable to its finite ground range, or None when empty.
+
+    A time variable ranges over a ``range``, any other over its domain's members.
+    """
     var_domains: dict = {}
     offsets: dict = {}
     for atom in atoms:
@@ -159,7 +162,7 @@ def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
         t_hi = min(hi - off for off in offs)
         if t_lo > t_hi:
             return None
-        var_domains[name] = tuple(range(t_lo, t_hi + 1))
+        var_domains[name] = range(t_lo, t_hi + 1)
     for members in var_domains.values():
         if not members:
             return None

@@ -46,8 +46,8 @@ class BayesNet:
     order: tuple = ()  # topological, parents before children
 
 
-def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int, objs):
-    """(bindings, object) of each ground query instance whose object is in ``objs``.
+def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
+    """(bindings, object) of each ground query instance in the window.
 
     Bindings cover the query's non-value variables; the list is in answer
     order, sorted by bindings.
@@ -56,9 +56,7 @@ def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int, objs):
     out = []
     for theta in groundings(kb, [pattern], lo, hi):
         theta = {n: c.value for n, c in theta.items()}
-        o = query_obj(kb, query, theta)
-        if o in objs:
-            out.append((theta, o))
+        out.append((theta, query_obj(kb, query, theta)))
     out.sort(key=lambda pair: sorted(pair[0].items(), key=str))
     return out
 
@@ -80,18 +78,28 @@ def build_net(kb: KnowledgeBase, session):
 
     The substitution list contains exactly the ground query instances for
     which a supporting network exists (empty when the query is unsupported).
+    Only the candidate query objects, the evidence objects and their
+    ancestors are discharged and combined.
     """
     if isinstance(session, SessionInput):
         session = validate_session(kb, session)
-    base, ras, _ = build_combined_base(kb, session)
-    net, subs = assemble_net(kb, session, base, ras)
+    candidates = []
+    if session.query is not None:
+        candidates = query_instances(kb, session.query, session.lo, session.hi)
+    demand = {o for _, o in candidates} | set(session.evidence)
+    base, ras, _ = build_combined_base(kb, session, demand=demand)
+    net, subs = assemble_net(kb, session, base, ras, candidates)
     return net, subs
 
 
-def assemble_net(kb: KnowledgeBase, session: ValidatedSession, base: CombinedBase, ras: RelevantAtomSet):
-    instances = []
-    if session.query is not None:
-        instances = query_instances(kb, session.query, session.lo, session.hi, ras.objs)
+def assemble_net(
+    kb: KnowledgeBase, session: ValidatedSession, base: CombinedBase, ras: RelevantAtomSet, candidates
+):
+    """The network of the evidence and of the query ``candidates`` in ``ras``, from ``base``.
+
+    ``candidates`` are the query's (bindings, object) pairs, as ``query_instances`` lists them.
+    """
+    instances = [(theta, o) for theta, o in candidates if o in ras.objs]
 
     reached = set()
     stack = sorted({o for _, o in instances} | set(session.evidence), key=obj_sort_key)

@@ -79,30 +79,36 @@ def enumerate_joint(
     work = 0
     assignment = [None] * len(order)
 
-    def recurse(depth, prob):
-        nonlocal work
-        if depth == len(order):
-            models.append((tuple(assignment), prob))
-            return
-        t = tables[depth]
-        row = t.rows[tuple(assignment[i] for i in parent_idx[depth])]
-        for v, vi in zip(value_lists[depth], value_index[depth]):
-            p = row[vi]
+    def branches(depth):
+        """(value, probability) of each value left at ``depth``, given the prefix."""
+        row = tables[depth].rows[tuple(assignment[i] for i in parent_idx[depth])]
+        return zip(value_lists[depth], [row[vi] for vi in value_index[depth]])
+
+    if not order:
+        return JointDistribution((), (), [((), 1.0)])
+    # depth-first over an explicit stack: one branch iterator and prefix probability per depth
+    stack, prefix = [branches(0)], [1.0]
+    while stack:
+        depth = len(stack) - 1
+        for v, p in stack[-1]:
             work += 1
             if work > guard:
                 raise EnumerationGuardError(
                     f"possible-model enumeration exceeded {guard} expansions"
                 )
-            if p == 0.0:
-                continue
-            assignment[depth] = v
-            recurse(depth + 1, prob * p)
-        assignment[depth] = None
-
-    if order:
-        recurse(0, 1.0)
-    else:
-        models.append(((), 1.0))
+            if p != 0.0:
+                break
+        else:
+            stack.pop()
+            prefix.pop()
+            continue
+        assignment[depth] = v
+        prob = prefix[depth] * p
+        if depth + 1 == len(order):
+            models.append((tuple(assignment), prob))
+        else:
+            stack.append(branches(depth + 1))
+            prefix.append(prob)
     return JointDistribution(tuple(order), tuple(value_lists), models)
 
 
@@ -204,7 +210,9 @@ def oracle_answer(kb: KnowledgeBase, session, guard: int = DEFAULT_GUARD):
     base, ras, _ = build_combined_base(kb, session)
     parents = {o: t.parents for o, t in base.tables.items()}
     results = []
-    for theta, target in query_instances(kb, session.query, session.lo, session.hi, ras.objs):
+    for theta, target in query_instances(kb, session.query, session.lo, session.hi):
+        if target not in ras.objs:
+            continue
         objs = ancestors(parents, [target] + list(session.evidence))
         joint = enumerate_joint(base, objs=objs, guard=guard, evidence=session.evidence)
         results.append((theta, conditional(joint, target, session.evidence, kb)))

@@ -5,6 +5,10 @@ combined relevant base (one conditional table per relevant object):
 
     discharge_contexts -> compute_ras -> restrict_rpb -> combine_rpb
     -> check_consistency
+
+Discharge walks backward from a demand of ground objects (a query's
+candidates and the evidence), so the base holds only the tables those
+objects depend on; with no demand it covers every object in the window.
 """
 
 from __future__ import annotations
@@ -15,15 +19,8 @@ from dataclasses import dataclass, field
 
 from .combining import CauseMechanism, RuleRegistry, builtin_registry
 from .errors import ConflictingSentencesError, ConsistencyError, CycleError
-from .lang import (
-    KnowledgeBase,
-    Obj,
-    ValidatedSession,
-    obj_of,
-    obj_sort_key,
-    val_of,
-)
-from .logic import _Solver, apply_subst, catom_key, ground_context_program, groundings, topo_order
+from .lang import Atom, Const, KnowledgeBase, Obj, TimeExpr, ValidatedSession, Var, obj_sort_key
+from .logic import _Solver, _variable_typing, ground_context_program, groundings, topo_order
 
 ROW_SUM_TOL = 1e-9
 
@@ -99,37 +96,133 @@ class CombinedBase:
 # Context discharge
 
 
-def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession):
-    """Every type-consistent ground PB instance whose context guard holds."""
-    program = ground_context_program(kb, session.context, session.lo, session.hi)
-    solver = _Solver(program)
-    out: dict = {}  # DischargedInstance -> None, first occurrence first
-    for s in kb.pb:
-        for theta in groundings(kb, list(s.atoms()), session.lo, session.hi):
-            g_context = tuple(
-                (sign, catom_key(apply_subst(a, theta))) for sign, a in s.context
-            )
-            if not solver.proves(g_context):
-                continue
-            ante_pairs = {}
-            for a in s.ante:
-                g = apply_subst(a, theta)
-                o, v = obj_of(g), val_of(g)
-                if ante_pairs.setdefault(o, v) != v:
-                    break  # incoherent instance can never hold; drop it
+def _slot(term):
+    """A term as (variable name, offset), or (None, value) for a constant."""
+    if isinstance(term, Const):
+        return None, term.value
+    if isinstance(term, TimeExpr):
+        return term.var, term.offset
+    return term.name, 0
+
+
+def _fill(slots, theta) -> tuple:
+    """The ground arguments of slots under ``theta``."""
+    return tuple(x if n is None else theta[n] + x if x else theta[n] for n, x in slots)
+
+
+def _ground(slot, theta):
+    """The ground argument of one slot under ``theta``."""
+    n, x = slot
+    return x if n is None else theta[n] + x if x else theta[n]
+
+
+@dataclass(frozen=True)
+class _Template:
+    """A PB sentence compiled for one window: positional slots and variable ranges."""
+
+    alpha: float
+    cons: tuple  # slots of the consequent's object arguments
+    value: tuple  # the consequent's value slot
+    ante: tuple  # per antecedent: (pred, object slots, value slot)
+    context: tuple  # per guard literal: (sign, pred, slots)
+    ranges: dict  # variable name -> its range (``_variable_typing``)
+
+    @classmethod
+    def compile(cls, kb: KnowledgeBase, s, lo: int, hi: int):
+        """None when the sentence has no grounding inside [lo, hi]."""
+        ranges = _variable_typing(kb, list(s.atoms()), lo, hi)
+        if ranges is None:
+            return None
+        return cls(
+            s.alpha,
+            tuple(_slot(t) for t in s.cons.args[:-1]),
+            _slot(s.cons.args[-1]),
+            tuple((a.pred, tuple(_slot(t) for t in a.args[:-1]), _slot(a.args[-1])) for a in s.ante),
+            tuple((sign, a.pred, tuple(_slot(t) for t in a.args)) for sign, a in s.context),
+            ranges,
+        )
+
+    def match(self, obj: Obj):
+        """Bindings under which the consequent's object is ``obj``, or None."""
+        theta: dict = {}
+        for (n, x), c in zip(self.cons, obj[1:]):
+            if n is None:
+                if c != x:
+                    return None
             else:
-                g_cons = apply_subst(s.cons, theta)
-                gs = GroundSentence(
-                    (obj_of(g_cons), val_of(g_cons)),
-                    frozenset(ante_pairs.items()),
-                    s.alpha,
-                )
-                out[DischargedInstance(gs, g_context)] = None
+                v = c - x if x else c
+                if theta.setdefault(n, v) != v:
+                    return None
+        for n, v in theta.items():
+            if v not in self.ranges[n]:
+                return None
+        return theta
+
+
+def _window_objects(kb: KnowledgeBase, lo: int, hi: int):
+    """Every ground p-object whose time, if any, lies in [lo, hi]."""
+    for decl in kb.preds.values():
+        if decl.kind == "p":
+            pattern = Atom(decl.name, tuple(Var(f"_{i}") for i in range(len(decl.attribute_domains))))
+            for theta in groundings(kb, [pattern], lo, hi):
+                yield (decl.name,) + tuple(theta[v.name].value for v in pattern.args)
+
+
+def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, demand=None):
+    """Every ground PB instance the demanded objects reach whose context guard holds.
+
+    A backward walk from ``demand``, a set of ground objects (every ground
+    p-object in the window when None).  Each object is matched against the
+    consequents of the sentences of its predicate; the remaining variables
+    are grounded over their ranges, the guard is proven and incoherent
+    instances are dropped.  The antecedent objects of each kept instance join
+    the walk, so the result holds every instance whose consequent is a
+    demanded object or one of their ancestors: all that the relevant set and
+    the combined tables of those objects depend on.
+    """
+    lo, hi = session.lo, session.hi
+    solver = _Solver(ground_context_program(kb, session.context, lo, hi))
+    by_pred: dict = {}  # consequent predicate -> positions in kb.pb
+    for i, s in enumerate(kb.pb):
+        by_pred.setdefault(s.cons.pred, []).append(i)
+    templates: dict = {}  # position in kb.pb -> _Template or None, compiled on first reach
+    if demand is None:
+        demand = _window_objects(kb, lo, hi)
+    stack = sorted(set(demand), key=obj_sort_key, reverse=True)
+    seen = set(stack)
+    out: dict = {}  # DischargedInstance -> None, first occurrence first
+    while stack:
+        obj = stack.pop()
+        for i in by_pred.get(obj[0], ()):
+            if i not in templates:
+                templates[i] = _Template.compile(kb, kb.pb[i], lo, hi)
+            t = templates[i]
+            theta = None if t is None else t.match(obj)
+            if theta is None:
+                continue
+            free = sorted(n for n in t.ranges if n not in theta)
+            for combo in itertools.product(*(t.ranges[n] for n in free)):
+                theta.update(zip(free, combo))
+                context = tuple((sign, (p,) + _fill(slots, theta)) for sign, p, slots in t.context)
+                if not solver.proves(context):
+                    continue
+                ante = {}
+                for p, slots, value in t.ante:
+                    o, v = (p,) + _fill(slots, theta), _ground(value, theta)
+                    if ante.setdefault(o, v) != v:
+                        break  # incoherent instance can never hold; drop it
+                else:
+                    gs = GroundSentence((obj, _ground(t.value, theta)), frozenset(ante.items()), t.alpha)
+                    out[DischargedInstance(gs, context)] = None
+                    for o in ante:
+                        if o not in seen:
+                            seen.add(o)
+                            stack.append(o)
     return list(out)
 
 
-def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession):
-    return {d.sentence for d in discharge_contexts_detailed(kb, session)}
+def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None):
+    return {d.sentence for d in discharge_contexts_detailed(kb, session, demand)}
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +297,8 @@ def combine_rpb(rpb, kb: KnowledgeBase, registry: RuleRegistry = None) -> Combin
             objset = tuple(sorted((o for o, _ in s.ante), key=obj_sort_key))
             assignment = tuple(v for o, v in sorted(s.ante, key=lambda p: obj_sort_key(p[0])))
             cell = groups.setdefault((objset, assignment), {})
-            if s.cons[1] in cell and cell[s.cons[1]] != s.alpha:
-                raise ConflictingSentencesError(
-                    f"conflicting sentences for {s}: alpha {cell[s.cons[1]]} vs {s.alpha}"
-                )
-            cell[s.cons[1]] = s.alpha
+            if cell.setdefault(s.cons[1], s.alpha) != s.alpha:
+                raise _first_conflict(sentences)
 
         cause_sets = sorted({objset for objset, _ in groups}, key=str)
         parents = tuple(sorted({o for objset in cause_sets for o in objset}, key=obj_sort_key))
@@ -241,6 +331,17 @@ def combine_rpb(rpb, kb: KnowledgeBase, registry: RuleRegistry = None) -> Combin
                 table.rows[combo] = tuple(rule.apply(obj, mechanisms, values, params))
         base.tables[obj] = table
     return base
+
+
+def _first_conflict(sentences) -> ConflictingSentencesError:
+    """The clash met first in text order: two alphas for one consequent and antecedent."""
+    seen: dict = {}
+    for s in sorted(sentences, key=str):
+        other = seen.setdefault((s.cons, s.ante), s)
+        if other.alpha != s.alpha:
+            return ConflictingSentencesError(
+                f"conflicting sentences for {s}: alpha {other.alpha} vs {s.alpha}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +394,13 @@ def check_consistency(base: CombinedBase):
         raise ConsistencyError(violations)
 
 
-def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, registry=None):
-    """Run the whole relevance pipeline; returns (combined base, ras, discharged)."""
-    discharged = discharge_contexts(kb, session)
+def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, registry=None, demand=None):
+    """Run the whole relevance pipeline; returns (combined base, ras, discharged).
+
+    With a ``demand`` of ground objects, only those objects and their
+    ancestors are discharged, and the base holds exactly their tables.
+    """
+    discharged = discharge_contexts(kb, session, demand)
     ras = compute_ras(kb, discharged, session)
     rpb = restrict_rpb(discharged, ras)
     base = combine_rpb(rpb, kb, registry)

@@ -15,7 +15,10 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
+from ctxkb.lang import obj_of, val_of
+from ctxkb.logic import _Solver, apply_subst, catom_key, ground_context_program, groundings
 from ctxkb.parser import parse_atoms
+from ctxkb.relevance import GroundSentence
 
 
 def data_path(name: str) -> str:
@@ -171,3 +174,26 @@ def naive_ras_objs(kb, session):
                         atoms.add((s.cons[0], v))
                         changed = True
     return {o for o, _ in atoms}
+
+
+def forward_discharge(kb, session):
+    """Every ground PB instance in the window whose guard holds, grounded forward.
+
+    Each sentence over every typed substitution, through ``apply_subst``: an
+    independent reference for ``discharge_contexts``.
+    """
+    solver = _Solver(ground_context_program(kb, session.context, session.lo, session.hi))
+    out = set()
+    for s in kb.pb:
+        for theta in groundings(kb, list(s.atoms()), session.lo, session.hi):
+            if not solver.proves((sign, catom_key(apply_subst(a, theta))) for sign, a in s.context):
+                continue
+            ante = {}
+            for a in s.ante:
+                g = apply_subst(a, theta)
+                if ante.setdefault(obj_of(g), val_of(g)) != val_of(g):
+                    break
+            else:
+                g = apply_subst(s.cons, theta)
+                out.add(GroundSentence((obj_of(g), val_of(g)), frozenset(ante.items()), s.alpha))
+    return out

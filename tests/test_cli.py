@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ctxkb
 from ctxkb.cli import main
 
 from conftest import data_path
@@ -228,6 +233,57 @@ def test_query_conflicting_sentences_exit_4(runner, cardiac, tmp_path):
     assert r.exit_code == 4
     _one_line_error(r)
     assert "conflicting sentences" in r.output
+
+
+def test_query_conflict_message_is_the_same_under_any_hash_seed(cardiac, tmp_path):
+    ctx = tmp_path / "two_interventions.txt"
+    ctx.write_text("dfib(john, 1). cpr(john, 1).\n")
+    src = str(Path(ctxkb.__file__).resolve().parents[1])
+    lines = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run(
+            [sys.executable, "-m", "ctxkb.cli", "query", cardiac["kb"], "--context", str(ctx),
+             "--query", "rhythm(john, 2, V)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert r.returncode == 4, r.stderr
+        assert "conflicting sentences" in r.stderr and len(r.stderr.splitlines()) == 1
+        lines.add(r.stderr)
+    assert len(lines) == 1, lines
+
+
+def test_query_conflict_outside_the_demand_does_not_block(runner, cardiac, tmp_path):
+    # john's two interventions clash, but no object of mary's network depends on john
+    ctx = tmp_path / "two_interventions.txt"
+    ctx.write_text("dfib(john, 1). cpr(john, 1).\n")
+    common = ["--query", "rhythm(mary, 2, V)", "--format", "json"]
+    r = runner.invoke(main, ["query", cardiac["kb"], "--context", str(ctx), *common])
+    assert r.exit_code == 0, r.output
+    alone = runner.invoke(main, ["query", cardiac["kb"], *common])
+    assert json.loads(r.output) == json.loads(alone.output)
+
+
+CHAIN_KB = """
+value p = { yes, no }.
+pred p(time).
+prob p(0, yes) = 1.
+prob p(0, no) = 0.
+prob p(t, yes) | p(t-1, yes) = 1.
+prob p(t, no) | p(t-1, yes) = 0.
+prob p(t, yes) | p(t-1, no) = 0.
+prob p(t, no) | p(t-1, no) = 1.
+"""
+
+
+def test_oracle_diff_long_deterministic_chain(runner, tmp_path):
+    # 1,501 objects: one enumeration depth each
+    kb = tmp_path / "chain.ckb"
+    kb.write_text(CHAIN_KB)
+    r = runner.invoke(main, ["oracle-diff", str(kb), "--query", "p(1500, V)", "--to", "1500"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("max |delta| = 0.000e+00 over 1 instance(s)")
 
 
 def test_project_support_outside_window_exit_1(runner, cardiac, tmp_path):

@@ -1,12 +1,18 @@
 """Supporting-network construction: minimality, bounds, determinism, export."""
 
+from dataclasses import replace
+
 import pytest
 
-from ctxkb import build_net, export_dot, parse_kb
+from ctxkb import build_net, discharge_contexts, export_dot, parse_kb
+from ctxkb.cli import _TIME_VAR
 from ctxkb.errors import OutOfBoundsSupportError, QuantificationError
-from ctxkb.netbuild import node_label
+from ctxkb.lang import Atom, Var
+from ctxkb.logic import ancestors
+from ctxkb.netbuild import assemble_net, node_label, query_instances
+from ctxkb.relevance import build_combined_base
 
-from conftest import session_for
+from conftest import forward_discharge, random_kb, session_for
 
 
 def test_network_is_backward_closure_only(cardiac_kb):
@@ -125,3 +131,74 @@ def test_cpt_entry_count(cardiac_kb):
     child = net.nodes[("rhythm", "john", 1)]
     assert root.n_entries == 7
     assert child.n_entries == 49
+
+
+# ---------------------------------------------------------------------------
+# The demand walk against the full base
+
+
+def _full_net(kb, vs):
+    base, ras, _ = build_combined_base(kb, vs)  # no demand: every object in the window
+    return assemble_net(kb, vs, base, ras, query_instances(kb, vs.query, vs.lo, vs.hi))
+
+
+def _same_net(got, want):
+    (net, subs), (full, full_subs) = got, want
+    assert subs == full_subs
+    assert net.order == full.order
+    assert net.nodes.keys() == full.nodes.keys()
+    for o, node in net.nodes.items():
+        other = full.nodes[o]
+        assert (node.values, node.parents, node.cpt) == (other.values, other.parents, other.cpt)
+
+
+def _same_instances(kb, vs):
+    """The walk discharges exactly the forward instances whose consequent the demand reaches."""
+    demand = {o for _, o in query_instances(kb, vs.query, vs.lo, vs.hi)} | set(vs.evidence)
+    full = forward_discharge(kb, vs)
+    assert discharge_contexts(kb, vs) == full
+    parents: dict = {}
+    for s in full:
+        parents.setdefault(s.cons[0], set()).update(o for o, _ in s.ante)
+    reach = ancestors(parents, demand)
+    assert discharge_contexts(kb, vs, demand) == {s for s in full if s.cons[0] in reach}
+
+
+def test_demand_walk_matches_full_base_on_random_corpus():
+    for seed in range(20):
+        kb, vs, _ = random_kb(seed)
+        _same_instances(kb, vs)
+        _same_net(build_net(kb, vs), _full_net(kb, vs))
+
+
+CARDIAC_SESSIONS = [
+    ("epi(john, 0). epi(john, 2). dfib(john, 2). lido(mary, 1). cpr(mary, 0).",
+     "rhythm(john, 0, vf). rhythm(mary, 0, vt).", 4, "rhythm(X, 4, V)"),
+    ("cpr(john, 0). cpr(john, 1). epi(john, 2). atro(mary, 3).",
+     "rhythm(john, 0, a). poa(john, 1, min1). cd(mary, 2, none).", 4, "cd(john, 3, V)"),
+    ("dfib(mary, 1). epi(mary, 1). lido(john, 2).", "rhythm(mary, 0, vf). cbf(john, 2, absent).",
+     3, "poa(X, T, V)"),
+]
+
+
+@pytest.mark.parametrize("context, evidence, hi, query", CARDIAC_SESSIONS)
+def test_demand_walk_matches_full_base_on_cardiac(cardiac_kb, context, evidence, hi, query):
+    vs = session_for(cardiac_kb, context=context, evidence=evidence, lo=0, hi=hi, query=query)
+    # as `ctxkb project` asks it: the time argument is a variable no input can name
+    q = vs.query
+    vs = replace(vs, query=Atom(q.pred, tuple(Var(_TIME_VAR) if a == Var("T") else a for a in q.args)))
+    _same_instances(cardiac_kb, vs)
+    net, subs = build_net(cardiac_kb, vs)
+    assert subs
+    _same_net((net, subs), _full_net(cardiac_kb, vs))
+
+
+def test_demand_walk_matches_full_base_on_paint_horizon(paint_kb):
+    vs = session_for(
+        paint_kb, context="paint(door, 0). paint(door, 3).", evidence="painted(door, 100, yes).",
+        lo=0, hi=240, query="painted(door, 240, V)",
+    )
+    _same_instances(paint_kb, vs)
+    got = build_net(paint_kb, vs)
+    assert len(got[0].nodes) == 237  # painted at 3: minute 4 is a root
+    _same_net(got, _full_net(paint_kb, vs))

@@ -15,11 +15,12 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError
-from ctxkb.logic import ancestors
+from ctxkb.logic import ancestors, topo_order
+from ctxkb.netbuild import query_instances
 from ctxkb.oracle import satisfaction_gap
 from ctxkb.relevance import build_combined_base
 
-from conftest import session_for
+from conftest import random_kb, session_for
 
 CHAIN = """
 domain d = { a }.
@@ -166,3 +167,64 @@ def test_sampling_impossible_evidence(chain_kb):
     net, _ = build_net(kb, vs)
     with pytest.raises(ImpossibleEvidenceError):
         forward_sample(kb, net, 5000, seed=1, targets=[("q", "a")], evidence=vs.evidence)
+
+
+# ---------------------------------------------------------------------------
+# The enumeration's explicit stack against the recursion it replaced
+
+
+def reference_enumeration(base, objs, evidence):
+    """(models, work) of the recursive enumeration that preceded the explicit stack."""
+    order = topo_order({o: base.tables[o].parents for o in objs}, "combined relevant base")
+    tables = [base.tables[o] for o in order]
+    pos = {o: i for i, o in enumerate(order)}
+    parent_idx = [tuple(pos[p] for p in t.parents) for t in tables]
+    value_lists = [
+        tuple(v for v in t.values if o not in evidence or v == evidence[o])
+        for o, t in zip(order, tables)
+    ]
+    value_index = [tuple(t.values.index(v) for v in vals) for t, vals in zip(tables, value_lists)]
+    models = []
+    work = 0
+    assignment = [None] * len(order)
+
+    def recurse(depth, prob):
+        nonlocal work
+        if depth == len(order):
+            models.append((tuple(assignment), prob))
+            return
+        row = tables[depth].rows[tuple(assignment[i] for i in parent_idx[depth])]
+        for v, vi in zip(value_lists[depth], value_index[depth]):
+            p = row[vi]
+            work += 1
+            if p == 0.0:
+                continue
+            assignment[depth] = v
+            recurse(depth + 1, prob * p)
+        assignment[depth] = None
+
+    if order:
+        recurse(0, 1.0)
+    else:
+        models.append(((), 1.0))
+    return models, work
+
+
+def test_enumeration_matches_recursive_reference(cardiac_kb):
+    cases = [random_kb(seed)[:2] for seed in range(20)]
+    cases.append((cardiac_kb, session_for(
+        cardiac_kb, context="epi(john, 0). dfib(john, 1).", evidence="rhythm(john, 0, vf). cbf(john, 2, absent).",
+        lo=0, hi=2, query="cd(john, 2, V)",
+    )))
+    for kb, vs in cases:
+        base, ras, _ = build_combined_base(kb, vs)
+        parents = {o: t.parents for o, t in base.tables.items()}
+        for _, target in query_instances(kb, vs.query, vs.lo, vs.hi):
+            if target not in ras.objs:
+                continue
+            objs = ancestors(parents, [target] + list(vs.evidence))
+            models, work = reference_enumeration(base, objs, vs.evidence)
+            joint = enumerate_joint(base, objs=objs, guard=work, evidence=vs.evidence)
+            assert joint.models == models
+            with pytest.raises(EnumerationGuardError):
+                enumerate_joint(base, objs=objs, guard=work - 1, evidence=vs.evidence)
