@@ -24,7 +24,7 @@ from .errors import CtxkbError
 from .infer import answer_on_net, answer_query
 from .lang import Atom, SessionInput, Var, atom_time, validate_session
 from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed
-from .netbuild import build_net, export_dot, node_label
+from .netbuild import build_net, export_dot
 from .oracle import DEFAULT_GUARD, forward_sample, oracle_answer
 from .parser import load_atoms, load_kb, parse_atom
 from .relevance import build_combined_base, check_consistency
@@ -292,7 +292,10 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
               help="Comma-separated action timesteps.")
 def bench(horizon, plan_times):
     """Compare context-indexed actions against the action-as-node encoding (CSV)."""
-    times = [int(t) for t in plan_times.split(",") if t.strip() != ""]
+    try:
+        times = [int(t) for t in plan_times.split(",") if t.strip() != ""]
+    except ValueError:
+        _fail(1, f"bench: --plan-times {plan_times!r} is not a comma-separated list of integers")
     bad = [t for t in times if not (0 <= t < horizon)]
     if bad:
         _fail(1, f"bench: plan times {bad} outside [0, {horizon - 1}]")

@@ -6,7 +6,9 @@ probability sentences; a context base of acyclic normal-logic-program clauses
 over deterministic context predicates; and a per-predicate combining rule
 assignment.  The last attribute of a probabilistic predicate carries the
 random variable's value; the remaining attributes identify the variable
-(its "object").
+(its "object").  On construction the probabilistic base is folded into
+link-matrix schemas: sentences that differ only in constant values share one
+schema and each adds one cell.
 """
 
 from __future__ import annotations
@@ -154,6 +156,81 @@ class ProbSentence:
         return s + "."
 
 
+def term_slot(term) -> tuple:
+    """A term as (variable name, offset), or (None, value) for a constant."""
+    if isinstance(term, Const):
+        return None, term.value
+    if isinstance(term, TimeExpr):
+        return term.var, term.offset
+    return term.name, 0
+
+
+def fill_slots(slots, theta) -> tuple:
+    """The ground arguments of slots under ``theta`` (variable name -> value)."""
+    return tuple(x if n is None else theta[n] + x if x else theta[n] for n, x in slots)
+
+
+@dataclass(eq=False)
+class Schema:
+    """A link matrix: the PB sentences that differ only in their constant values.
+
+    The key is the consequent's predicate and object slots, the antecedents'
+    object patterns, the value slots that hold a variable, and the guard.
+    Each cell is (consequent value, antecedent values, alpha), with None
+    where a value slot holds a variable.  The cells are a list, so two
+    sentences that give one cell two alphas both stay and combining reports
+    the clash.
+    """
+
+    pred: str
+    cons: tuple  # object slots of the consequent
+    ante: tuple  # per antecedent: (pred, object slots)
+    value_vars: tuple  # None if no value slot holds a variable, else shaped as a cell's values
+    context: tuple  # per guard literal: (sign, pred, slots)
+    atoms: tuple  # the atoms of the first sentence; they type every variable of the schema
+    cells: list = field(default_factory=list)
+
+    def match(self, obj: Obj):
+        """Bindings under which the consequent's object is ``obj``, or None; times unbounded."""
+        theta: dict = {}
+        for (n, x), c in zip(self.cons, obj[1:]):
+            if n is None:
+                if c != x:
+                    return None
+            else:
+                v = c - x if x else c
+                if theta.setdefault(n, v) != v:
+                    return None
+        return theta
+
+
+def compile_schemas(pb) -> dict:
+    """Consequent predicate -> its schemas, in text order of each schema's first sentence."""
+    by_key: dict = {}
+    for s in pb:
+        terms = (s.cons.args[-1],) + tuple(a.args[-1] for a in s.ante)
+        values = tuple(t.value if isinstance(t, Const) else None for t in terms)
+        value_vars = None
+        if None in values:
+            names = tuple(t.name if v is None else None for t, v in zip(terms, values))
+            value_vars = (names[0], names[1:])
+        key = (
+            s.cons.pred,
+            tuple(map(term_slot, s.cons.args[:-1])),
+            tuple((a.pred, tuple(map(term_slot, a.args[:-1]))) for a in s.ante),
+            value_vars,
+            tuple((sign, a.pred, tuple(map(term_slot, a.args))) for sign, a in s.context),
+        )
+        schema = by_key.get(key)
+        if schema is None:
+            schema = by_key[key] = Schema(*key, tuple(s.atoms()))
+        schema.cells.append((values[0], values[1:], s.alpha))
+    out: dict = {}
+    for schema in by_key.values():
+        out.setdefault(schema.pred, []).append(schema)
+    return {p: tuple(schemas) for p, schemas in out.items()}
+
+
 @dataclass(frozen=True)
 class ContextClause:
     head: Atom
@@ -187,8 +264,13 @@ class KnowledgeBase:
     pb: tuple  # of ProbSentence
     cb: tuple  # of ContextClause
     cr: dict = field(default_factory=dict)  # p-pred -> (rule name, params dict)
+    # consequent predicate -> its link-matrix schemas, compiled once from pb
+    schemas: dict = field(init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
+
+    def __post_init__(self):
+        object.__setattr__(self, "schemas", compile_schemas(self.pb))
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]

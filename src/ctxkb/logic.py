@@ -24,7 +24,7 @@ from .lang import (
     KnowledgeBase,
     TimeExpr,
     Var,
-    obj_of,
+    fill_slots,
     obj_sort_key,
 )
 
@@ -338,13 +338,21 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
     """Verify the grounded influenced-by graph of the probabilistic base.
 
     Conservative: considers every type-consistent ground instance, ignoring
-    contexts.  Works at the object level (value variants share a node).
+    contexts.  Works at the object level (value variants share a node), so
+    each schema is grounded once over the variables of its object slots.
     """
     deps: dict = {}
-    for s in kb.pb:
-        for theta in groundings(kb, list(s.atoms()), lo, hi):
-            node = obj_of(apply_subst(s.cons, theta))
-            deps.setdefault(node, set()).update(obj_of(apply_subst(a, theta)) for a in s.ante)
+    for schemas in kb.schemas.values():
+        for schema in schemas:
+            ranges = _variable_typing(kb, schema.atoms, lo, hi)
+            if ranges is None:
+                continue
+            slots = [schema.cons] + [s for _, s in schema.ante]
+            names = sorted({n for s in slots for n, _ in s if n is not None})
+            for combo in itertools.product(*(ranges[n] for n in names)):
+                theta = dict(zip(names, combo))
+                node = (schema.pred,) + fill_slots(schema.cons, theta)
+                deps.setdefault(node, set()).update((p,) + fill_slots(s, theta) for p, s in schema.ante)
     topo_order(deps, "probabilistic base")
 
 

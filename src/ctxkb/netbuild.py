@@ -24,7 +24,7 @@ from .lang import (
     obj_time,
     validate_session,
 )
-from .logic import apply_subst, groundings, topo_order, unify
+from .logic import _variable_typing, groundings, topo_order
 from .relevance import CombinedBase, RelevantAtomSet, build_combined_base
 
 
@@ -136,14 +136,13 @@ def assemble_net(
 
 
 def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int) -> bool:
-    """Would some sentence support this object if the window were wider?"""
-    pattern = Atom(obj[0], tuple(Const(c) for c in obj[1:]) + (Var("_ValueSlot"),))
-    for s in kb.pb:
-        theta = unify(s.cons, pattern)
+    """Would some schema support this object if the window were wider?"""
+    for schema in kb.schemas.get(obj[0], ()):
+        theta = schema.match(obj)
         if theta is None:
             continue
-        bound = [apply_subst(a, theta) for a in s.atoms()]
-        if next(groundings(kb, bound, lo, hi), None) is None:
+        ranges = _variable_typing(kb, schema.atoms, lo, hi)
+        if ranges is None or any(v not in ranges[n] for n, v in theta.items()):
             return True  # matches in general, but only outside the window
     return False
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .combining import CauseMechanism, RuleRegistry, builtin_registry
 from .errors import ConflictingSentencesError, ConsistencyError, CycleError
-from .lang import Atom, Const, KnowledgeBase, Obj, TimeExpr, ValidatedSession, Var, obj_sort_key
+from .lang import Atom, KnowledgeBase, Obj, ValidatedSession, Var, fill_slots, obj_sort_key
 from .logic import _Solver, _variable_typing, ground_context_program, groundings, topo_order
 
 ROW_SUM_TOL = 1e-9
@@ -96,69 +96,6 @@ class CombinedBase:
 # Context discharge
 
 
-def _slot(term):
-    """A term as (variable name, offset), or (None, value) for a constant."""
-    if isinstance(term, Const):
-        return None, term.value
-    if isinstance(term, TimeExpr):
-        return term.var, term.offset
-    return term.name, 0
-
-
-def _fill(slots, theta) -> tuple:
-    """The ground arguments of slots under ``theta``."""
-    return tuple(x if n is None else theta[n] + x if x else theta[n] for n, x in slots)
-
-
-def _ground(slot, theta):
-    """The ground argument of one slot under ``theta``."""
-    n, x = slot
-    return x if n is None else theta[n] + x if x else theta[n]
-
-
-@dataclass(frozen=True)
-class _Template:
-    """A PB sentence compiled for one window: positional slots and variable ranges."""
-
-    alpha: float
-    cons: tuple  # slots of the consequent's object arguments
-    value: tuple  # the consequent's value slot
-    ante: tuple  # per antecedent: (pred, object slots, value slot)
-    context: tuple  # per guard literal: (sign, pred, slots)
-    ranges: dict  # variable name -> its range (``_variable_typing``)
-
-    @classmethod
-    def compile(cls, kb: KnowledgeBase, s, lo: int, hi: int):
-        """None when the sentence has no grounding inside [lo, hi]."""
-        ranges = _variable_typing(kb, list(s.atoms()), lo, hi)
-        if ranges is None:
-            return None
-        return cls(
-            s.alpha,
-            tuple(_slot(t) for t in s.cons.args[:-1]),
-            _slot(s.cons.args[-1]),
-            tuple((a.pred, tuple(_slot(t) for t in a.args[:-1]), _slot(a.args[-1])) for a in s.ante),
-            tuple((sign, a.pred, tuple(_slot(t) for t in a.args)) for sign, a in s.context),
-            ranges,
-        )
-
-    def match(self, obj: Obj):
-        """Bindings under which the consequent's object is ``obj``, or None."""
-        theta: dict = {}
-        for (n, x), c in zip(self.cons, obj[1:]):
-            if n is None:
-                if c != x:
-                    return None
-            else:
-                v = c - x if x else c
-                if theta.setdefault(n, v) != v:
-                    return None
-        for n, v in theta.items():
-            if v not in self.ranges[n]:
-                return None
-        return theta
-
-
 def _window_objects(kb: KnowledgeBase, lo: int, hi: int):
     """Every ground p-object whose time, if any, lies in [lo, hi]."""
     for decl in kb.preds.values():
@@ -172,20 +109,17 @@ def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, de
     """Every ground PB instance the demanded objects reach whose context guard holds.
 
     A backward walk from ``demand``, a set of ground objects (every ground
-    p-object in the window when None).  Each object is matched against the
-    consequents of the sentences of its predicate; the remaining variables
-    are grounded over their ranges, the guard is proven and incoherent
-    instances are dropped.  The antecedent objects of each kept instance join
-    the walk, so the result holds every instance whose consequent is a
-    demanded object or one of their ancestors: all that the relevant set and
-    the combined tables of those objects depend on.
+    p-object in the window when None).  Each object is matched once against
+    each schema of its predicate; the remaining variables are grounded over
+    their ranges, the guard is proven once per grounding, and every coherent
+    cell of the schema becomes an instance.  The antecedent objects of the
+    kept instances join the walk, so the result holds every instance whose
+    consequent is a demanded object or one of their ancestors: all that the
+    relevant set and the combined tables of those objects depend on.
     """
     lo, hi = session.lo, session.hi
     solver = _Solver(ground_context_program(kb, session.context, lo, hi))
-    by_pred: dict = {}  # consequent predicate -> positions in kb.pb
-    for i, s in enumerate(kb.pb):
-        by_pred.setdefault(s.cons.pred, []).append(i)
-    templates: dict = {}  # position in kb.pb -> _Template or None, compiled on first reach
+    typed: dict = {}  # Schema -> (ranges, free variables, their ranges) in the window, or None
     if demand is None:
         demand = _window_objects(kb, lo, hi)
     stack = sorted(set(demand), key=obj_sort_key, reverse=True)
@@ -193,32 +127,59 @@ def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, de
     out: dict = {}  # DischargedInstance -> None, first occurrence first
     while stack:
         obj = stack.pop()
-        for i in by_pred.get(obj[0], ()):
-            if i not in templates:
-                templates[i] = _Template.compile(kb, kb.pb[i], lo, hi)
-            t = templates[i]
-            theta = None if t is None else t.match(obj)
+        for schema in kb.schemas.get(obj[0], ()):
+            if schema not in typed:
+                typed[schema] = _schema_typing(kb, schema, lo, hi)
+            t = typed[schema]
+            theta = None if t is None else schema.match(obj)
             if theta is None:
                 continue
-            free = sorted(n for n in t.ranges if n not in theta)
-            for combo in itertools.product(*(t.ranges[n] for n in free)):
+            ranges, free, free_ranges = t
+            if any(v not in ranges[n] for n, v in theta.items()):
+                continue
+            for combo in itertools.product(*free_ranges):
                 theta.update(zip(free, combo))
-                context = tuple((sign, (p,) + _fill(slots, theta)) for sign, p, slots in t.context)
+                context = tuple((sign, (p,) + fill_slots(slots, theta)) for sign, p, slots in schema.context)
                 if not solver.proves(context):
                     continue
-                ante = {}
-                for p, slots, value in t.ante:
-                    o, v = (p,) + _fill(slots, theta), _ground(value, theta)
-                    if ante.setdefault(o, v) != v:
-                        break  # incoherent instance can never hold; drop it
-                else:
-                    gs = GroundSentence((obj, _ground(t.value, theta)), frozenset(ante.items()), t.alpha)
+                objs = [(p,) + fill_slots(slots, theta) for p, slots in schema.ante]
+                distinct = len(set(objs)) == len(objs)
+                kept = False
+                for value, values, alpha in schema.cells:
+                    if schema.value_vars:
+                        value, values = _fill_values(schema.value_vars, value, values, theta)
+                    if not distinct and len(set(zip(objs, values))) != len(set(objs)):
+                        continue  # incoherent: two values for one object; it can never hold
+                    gs = GroundSentence((obj, value), frozenset(zip(objs, values)), alpha)
                     out[DischargedInstance(gs, context)] = None
-                    for o in ante:
+                    kept = True
+                if kept:
+                    for o in objs:
                         if o not in seen:
                             seen.add(o)
                             stack.append(o)
     return list(out)
+
+
+def _schema_typing(kb: KnowledgeBase, schema, lo: int, hi: int):
+    """(ranges, free variables, their ranges) of a schema in [lo, hi]; None if it has no grounding.
+
+    The free variables are those the consequent's object does not bind.
+    """
+    ranges = _variable_typing(kb, schema.atoms, lo, hi)
+    if ranges is None:
+        return None
+    bound = {n for n, _ in schema.cons}
+    free = sorted(n for n in ranges if n not in bound)
+    return ranges, free, [ranges[n] for n in free]
+
+
+def _fill_values(value_vars, value, values, theta):
+    """A cell's consequent and antecedent values, its variable value slots filled from ``theta``."""
+    cons_var, ante_vars = value_vars
+    if cons_var:
+        value = theta[cons_var]
+    return value, tuple(theta[n] if n else v for n, v in zip(ante_vars, values))
 
 
 def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None):

@@ -1,11 +1,13 @@
-"""Shared fixtures: the shipped knowledge bases and a randomized KB corpus."""
+"""Shared fixtures: the shipped knowledge bases and randomized KB corpora."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
 from ctxkb import (
     SessionInput,
@@ -155,6 +157,151 @@ def random_kb(seed: int, state_budget: int = 20000):
     )
     meta = {"supported": supported, "members": members, "query_pred": query_pred}
     return kb, session, meta
+
+
+# ---------------------------------------------------------------------------
+# Randomized timed KB corpus
+#
+# Each generated KB has one or two members, one to three predicates over
+# (thing, time) with two or three values, and a window of at most five steps
+# (H <= 4) whose joint has at most 16,384 states, so enumeration stays far
+# below DEFAULT_GUARD.  Every predicate has a start (a time-0 prior, possibly
+# conditioned on a lower predicate, or a leak that holds at every time) and a
+# persistence matrix on its own value at t-1, possibly with a second parent at
+# t or t-1 or written with a variable value slot.  An optional second cause
+# (its own value at t-2, another predicate of a free member Y at t-1, or a
+# lower predicate at t) is combined with it by noisy-max.  Either may be
+# guarded by the context chain on(X, t) (act starts it, stop ends it) with a
+# sibling family under its negation, so every table stays complete.  Rows are
+# strictly positive.  A window that starts at 1 leaves time-0 priors and the
+# t-1 links into the window's first step outside it.
+
+TIMED_STATE_BUDGET = 16384
+
+TIMED_CONTEXT = """domain thing = { %s }.
+cpred act(thing, time).
+cpred stop(thing, time).
+cpred on(thing, time).
+ctx on(X, t) <- act(X, t).
+ctx on(X, t) <- on(X, t-1), not stop(X, t).
+"""
+
+
+def _timed_family(rng, pred, vals, parents, guard):
+    """Full rows for ``pred(X, t, .)`` given ``parents``: (pred, member term, time term, values)."""
+    lines = []
+    for combo in itertools.product(*(pv for _, _, _, pv in parents)):
+        ante = ", ".join(f"{pp}({pm}, {pt}, {v})" for (pp, pm, pt, _), v in zip(parents, combo))
+        for v, a in zip(vals, _lattice_row(rng, len(vals))):
+            line = f"prob {pred}(X, t, {v})" + (f" | {ante}" if ante else "") + f" = {a!r}"
+            lines.append(line + (f" <- {guard}." if guard else "."))
+    return lines
+
+
+def _persistence_with_value_slot(rng, pred, vals, guard):
+    """The diagonal as one sentence with a variable value slot, the rest cell by cell."""
+    stay = rng.choice([0.5, 0.7, 0.9])
+    tail = f" <- {guard}." if guard else "."
+    lines = [f"prob {pred}(X, t, V) | {pred}(X, t-1, V) = {stay!r}{tail}"]
+    for u in vals:
+        for v in vals:
+            if v != u:
+                move = (1.0 - stay) / (len(vals) - 1)
+                lines.append(f"prob {pred}(X, t, {v}) | {pred}(X, t-1, {u}) = {move!r}{tail}")
+    return lines
+
+
+def _guarded(rng, draw, family):
+    """``family(guard)`` unguarded, or once under an ``on`` literal and once under its negation."""
+    if not draw(st.booleans()):
+        return family(None)
+    on = draw(st.sampled_from(["on(X, t)", "on(X, t-1)"]))
+    return family(on) + family(f"not {on}")
+
+
+@st.composite
+def timed_kbs(draw):
+    """(KB text, session keywords, duplicate-cell sentence) of one random timed KB."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    members = ["a", "b"][: draw(st.integers(1, 2))]
+    n_preds = draw(st.integers(1, 3))
+    vals = {f"p{i}": [f"v{j}" for j in range(draw(st.sampled_from([2, 2, 3])))] for i in range(n_preds)}
+    step_states = 1
+    for vs in vals.values():
+        step_states *= len(vs) ** len(members)
+    max_steps = 1
+    while max_steps < 5 and step_states ** (max_steps + 1) <= TIMED_STATE_BUDGET:
+        max_steps += 1
+    lo = draw(st.sampled_from([0, 0, 1]))
+    hi = lo + draw(st.integers(min(1, max_steps - 1), max_steps - 1))
+
+    lines = [TIMED_CONTEXT % ", ".join(members)]
+    for p in vals:
+        lines += [f"value {p} = {{ {', '.join(vals[p])} }}.", f"pred {p}(thing, time).",
+                  f"combine {p} with noisy_max."]
+    dup = None
+    for i, p in enumerate(vals):
+        lower = [f"p{j}" for j in range(i)]
+        second = draw(st.sampled_from(["none", "t-2", "free"] + (["same"] if lower else [])))
+        if draw(st.booleans()):  # a leak: a parentless cause at every time
+            start = _timed_family(rng, p, vals[p], [], None)
+        else:  # a time-0 prior, possibly on a lower predicate at time 0
+            parents = []
+            if lower and second != "same" and draw(st.booleans()):
+                q = draw(st.sampled_from(lower))
+                parents = [(q, "X", 0, vals[q])]
+            start = [line.replace("(X, t,", "(X, 0,", 1) for line in _timed_family(rng, p, vals[p], parents, None)]
+        lines += start
+        dup = dup or start[0]
+
+        extra = draw(st.sampled_from(["none", "none", "t", "t-1"]))
+        if extra == "none" and draw(st.booleans()):
+            lines += _guarded(rng, draw, lambda g: _persistence_with_value_slot(rng, p, vals[p], g))
+        else:
+            parents = [(p, "X", "t-1", vals[p])]
+            if extra == "t" and lower:
+                q = draw(st.sampled_from(lower))
+                parents.append((q, "X", "t", vals[q]))
+            elif extra == "t-1" and n_preds > 1:
+                q = draw(st.sampled_from([q for q in vals if q != p]))
+                parents.append((q, "X", "t-1", vals[q]))
+            lines += _guarded(rng, draw, lambda g: _timed_family(rng, p, vals[p], parents, g))
+
+        if second == "t-2":
+            parents = [(p, "X", "t-2", vals[p])]
+        elif second == "free":
+            # a free member Y: one cause per member, combined across the domain
+            if n_preds > 1:
+                q = draw(st.sampled_from([q for q in vals if q != p]))
+                parents = [(q, "Y", "t-1", vals[q])]
+            else:
+                parents = [(p, "Y", "t-2", vals[p])]
+        elif second == "same":
+            q = draw(st.sampled_from(lower))
+            parents = [(q, "X", "t", vals[q])]
+        if second != "none":
+            lines += _guarded(rng, draw, lambda g: _timed_family(rng, p, vals[p], parents, g))
+
+    times = range(lo, hi + 1)
+    context = [f"{c}({m}, {t})" for c in ("act", "stop") for m in members for t in times
+               if draw(st.integers(0, 3)) == 0]
+    objs = [(p, m, t) for p in vals for m in members for t in times]
+    n_evidence = draw(st.integers(0, 2))
+    observed = draw(st.lists(st.sampled_from(objs), min_size=n_evidence, max_size=n_evidence, unique=True))
+    evidence = [f"{p}({m}, {t}, {draw(st.sampled_from(vals[p]))})" for p, m, t in observed]
+    q = draw(st.sampled_from(list(vals)))
+    who = draw(st.sampled_from(["X"] + members))
+    when = draw(st.sampled_from(["T", str(hi)] + [str(t) for t in times]))
+    session = {
+        "context": "".join(f"{a}. " for a in context),
+        "evidence": "".join(f"{a}. " for a in evidence),
+        "lo": lo,
+        "hi": hi,
+        "query": f"{q}({who}, {when}, V)",
+    }
+    alpha = float(dup.rsplit("= ", 1)[1].rstrip("."))
+    dup = f"{dup.rsplit('= ', 1)[0]}= {alpha / 2!r}."
+    return "\n".join(lines) + "\n", session, dup
 
 
 def naive_ras_objs(kb, session):

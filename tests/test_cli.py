@@ -182,6 +182,13 @@ def test_bench_csv(runner):
     assert len(lines) == 3
 
 
+def test_bench_bad_plan_times_exit_1(runner):
+    r = runner.invoke(main, ["bench", "--plan-times", "x"])
+    assert r.exit_code == 1
+    _one_line_error(r)
+    assert r.output.startswith("bench: ")
+
+
 def test_oracle_diff_with_sampling_seed(runner, cardiac):
     r = runner.invoke(main, [
         "oracle-diff", cardiac["kb"], "--evidence", cardiac["ev"],
@@ -252,6 +259,38 @@ def test_query_conflict_message_is_the_same_under_any_hash_seed(cardiac, tmp_pat
         assert "conflicting sentences" in r.stderr and len(r.stderr.splitlines()) == 1
         lines.add(r.stderr)
     assert len(lines) == 1, lines
+
+
+SCHEMA_CLASH_KB = """
+value p = { no, yes }.
+pred p(time).
+prob p(0, no) = 0.5.
+prob p(0, yes) = 0.5.
+prob p(t, yes) | p(t-1, yes) = 0.9.
+prob p(t, no) | p(t-1, yes) = 0.1.
+prob p(t, yes) | p(t-1, no) = 0.2.
+prob p(t, no) | p(t-1, no) = 0.8.
+prob p(t, yes) | p(t-1, yes) = 0.7.
+"""
+
+
+def test_intra_schema_conflict_message_is_the_same_under_any_hash_seed(tmp_path):
+    # the last sentence gives a cell of the persistence matrix a second alpha
+    kb = tmp_path / "clash.ckb"
+    kb.write_text(SCHEMA_CLASH_KB)
+    src = str(Path(ctxkb.__file__).resolve().parents[1])
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run(
+            [sys.executable, "-m", "ctxkb.cli", "query", str(kb), "--query", "p(2, V)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert r.returncode == 4, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == (
+            "conflicting sentences for P(p(1, yes) | p(0, yes)) = 0.9: alpha 0.7 vs 0.9\n"
+        )
 
 
 def test_query_conflict_outside_the_demand_does_not_block(runner, cardiac, tmp_path):

@@ -3,16 +3,17 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from ctxkb import build_net, discharge_contexts, export_dot, parse_kb
+from ctxkb import answer_query, build_net, discharge_contexts, export_dot, oracle_answer, parse_kb
 from ctxkb.cli import _TIME_VAR
-from ctxkb.errors import OutOfBoundsSupportError, QuantificationError
+from ctxkb.errors import ConflictingSentencesError, OutOfBoundsSupportError, QuantificationError
 from ctxkb.lang import Atom, Var
-from ctxkb.logic import ancestors
+from ctxkb.logic import ancestors, check_acyclic_pb
 from ctxkb.netbuild import assemble_net, node_label, query_instances
 from ctxkb.relevance import build_combined_base
 
-from conftest import forward_discharge, random_kb, session_for
+from conftest import forward_discharge, random_kb, session_for, timed_kbs
 
 
 def test_network_is_backward_closure_only(cardiac_kb):
@@ -202,3 +203,35 @@ def test_demand_walk_matches_full_base_on_paint_horizon(paint_kb):
     got = build_net(paint_kb, vs)
     assert len(got[0].nodes) == 237  # painted at 3: minute 4 is a root
     _same_net(got, _full_net(paint_kb, vs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(timed_kbs())
+def test_timed_corpus(case):
+    text, session, dup = case
+    kb = parse_kb(text)
+    vs = session_for(kb, **session)
+    check_acyclic_pb(kb, vs.lo, vs.hi)
+    _same_instances(kb, vs)
+    try:
+        got = build_net(kb, vs)
+    except (OutOfBoundsSupportError, QuantificationError) as e:
+        # evidence in a window that starts at 1, whose support lies before the window
+        with pytest.raises(type(e)) as full:
+            _full_net(kb, vs)
+        assert str(full.value) == str(e)
+    else:
+        _same_net(got, _full_net(kb, vs))
+        ans, ref = answer_query(kb, vs), oracle_answer(kb, vs)
+        assert [theta for theta, _ in ans.instances] == [theta for theta, _ in ref]
+        for (_, a), (_, b) in zip(ans.instances, ref):
+            assert a.query_object == b.query_object
+            assert max(abs(x - y) for x, y in zip(a.probabilities, b.probabilities)) <= 1e-9
+    # the duplicate gives a cell of a time-0 start a second alpha in the same schema
+    clash = parse_kb(text + dup + "\n")
+    assert len(clash.schemas["p0"]) == len(kb.schemas["p0"])
+    at0 = session_for(clash, context=session["context"], lo=0, hi=vs.hi, query="p0(X, 0, V)")
+    with pytest.raises(ConflictingSentencesError):
+        build_net(clash, at0)
+    with pytest.raises(ConflictingSentencesError):
+        build_combined_base(clash, at0)

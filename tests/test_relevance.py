@@ -237,3 +237,76 @@ def test_discharge_is_order_independent(kb):
     vs = session_for(kb, context="dfib(john, 0).", lo=0, hi=1)
     vs_rev = session_for(kb_rev, context="dfib(john, 0).", lo=0, hi=1)
     assert discharge_contexts(kb, vs) == discharge_contexts(kb_rev, vs_rev)
+
+
+# ---------------------------------------------------------------------------
+# Link-matrix schemas
+
+
+def _schemas(kb):
+    return [s for schemas in kb.schemas.values() for s in schemas]
+
+
+def test_shipped_kbs_fold_into_schemas(cardiac_kb, paint_kb):
+    assert len(cardiac_kb.pb) == 830
+    assert len(_schemas(cardiac_kb)) == 18
+    assert sum(len(s.cells) for s in _schemas(cardiac_kb)) == 830
+    # prior, action effect, persistence
+    assert [len(s.cells) for s in _schemas(paint_kb)] == [2, 2, 4]
+
+
+def test_duplicate_cell_stays_two_cells_of_one_schema():
+    kb = parse_kb(
+        """
+        value p = { no, yes }.
+        pred p(time).
+        prob p(0, yes) = 0.4.
+        prob p(0, yes) = 0.6.
+        """
+    )
+    (schema,) = _schemas(kb)
+    assert schema.cells == [("yes", (), 0.4), ("yes", (), 0.6)]
+    with pytest.raises(ConflictingSentencesError):
+        build_combined_base(kb, session_for(kb, lo=0, hi=0))
+
+
+VALUE_SLOTS = """
+domain thing = { a, b }.
+value p = { lo, mid, hi }.
+pred p(thing, time).
+cpred keep(thing, time).
+prob p(X, 0, lo) = 0.2.
+prob p(X, 0, mid) = 0.5.
+prob p(X, 0, hi) = 0.3.
+prob p(X, t, V) | p(X, t-1, V) = 0.8 <- keep(X, t).
+prob p(X, t, mid) | p(X, t-1, lo) = 0.2 <- keep(X, t).
+prob p(X, t, lo) | p(X, t-1, mid) = 0.2 <- keep(X, t).
+prob p(X, t, mid) | p(X, t-1, hi) = 0.2 <- keep(X, t).
+prob p(X, t, V) | p(X, t-1, V), p(Y, t-1, lo) = 0.6 <- not keep(X, t).
+prob p(X, t, lo) | p(X, t-2, V), p(Y, t-1, V) = 0.4 <- not keep(X, t).
+"""
+
+
+def test_variable_value_slots_discharge_as_forward():
+    from ctxkb.logic import ancestors
+
+    from conftest import forward_discharge
+
+    kb = parse_kb(VALUE_SLOTS)
+    assert [s.value_vars for s in _schemas(kb)] == [
+        None, ("V", ("V",)), None, ("V", ("V", None)), (None, ("V", "V"))
+    ]
+    vs = session_for(kb, context="keep(a, 1). keep(b, 2). keep(a, 3).", lo=0, hi=3)
+    full = forward_discharge(kb, vs)
+    got = discharge_contexts(kb, vs)
+    assert got == full
+    # p(a, t, V) | p(a, t-1, V), p(a, t-1, lo) holds only at V = lo
+    at_a = {s for s in got if s.cons[0] == ("p", "a", 2) and len(s.ante) == 1
+            and s.alpha == 0.6}
+    assert at_a == {gs((("p", "a", 2), "lo"), {(("p", "a", 1), "lo")}, 0.6)}
+    parents: dict = {}
+    for s in full:
+        parents.setdefault(s.cons[0], set()).update(o for o, _ in s.ante)
+    demand = {("p", "b", 3)}
+    want = {s for s in full if s.cons[0] in ancestors(parents, demand)}
+    assert discharge_contexts(kb, vs, demand) == want
