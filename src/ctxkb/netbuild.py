@@ -9,6 +9,7 @@ or evidence never enter the network.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import OutOfBoundsSupportError, QuantificationError
@@ -20,12 +21,13 @@ from .lang import (
     SessionInput,
     ValidatedSession,
     Var,
+    fill_slots,
     obj_sort_key,
     obj_time,
     validate_session,
 )
-from .logic import _variable_typing, groundings, topo_order
-from .relevance import CombinedBase, RelevantAtomSet, build_combined_base
+from .logic import groundings, topo_order
+from .relevance import CombinedBase, RelevantAtomSet, _schema_typing, build_combined_base
 
 
 @dataclass
@@ -111,8 +113,9 @@ def assemble_net(
         reached.add(obj)
         table = base.tables.get(obj)
         if table is None:
-            if _support_out_of_window(kb, obj, session.lo, session.hi):
-                raise OutOfBoundsSupportError(obj)
+            outside = _support_out_of_window(kb, obj, session.lo, session.hi, base.tables)
+            if outside is not None:
+                raise OutOfBoundsSupportError(outside)
             gaps.append((obj, "no applicable sentence inside the session window"))
             continue
         if table.missing:
@@ -135,16 +138,32 @@ def assemble_net(
     return BayesNet(nodes, tuple(order)), [theta for theta, _ in instances]
 
 
-def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int) -> bool:
-    """Would some schema support this object if the window were wider?"""
-    for schema in kb.schemas.get(obj[0], ()):
-        theta = schema.match(obj)
-        if theta is None:
-            continue
-        ranges = _variable_typing(kb, schema.atoms, lo, hi)
-        if ranges is None or any(v not in ranges[n] for n, v in theta.items()):
-            return True  # matches in general, but only outside the window
-    return False
+def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables) -> Obj | None:
+    """The object whose support leaves [lo, hi] on the way back from unsupported ``obj``, or None.
+
+    An object qualifies if some schema matches it, but only outside the
+    window.  From an object whose schemas all match inside, the walk follows
+    their antecedents that have no table of their own.
+    """
+    stack, seen = [obj], {obj}
+    while stack:
+        o = stack.pop()
+        for schema in kb.schemas.get(o[0], ()):
+            theta = schema.match(o)
+            if theta is None:
+                continue
+            typing = _schema_typing(kb, schema, lo, hi)
+            if typing is None or any(v not in typing[0][n] for n, v in theta.items()):
+                return o  # matches in general, but only outside the window
+            _, free, free_ranges = typing
+            for combo in itertools.product(*free_ranges):
+                theta.update(zip(free, combo))
+                for p, slots in schema.ante:
+                    a = (p,) + fill_slots(slots, theta)
+                    if a not in seen and a not in tables:
+                        seen.add(a)
+                        stack.append(a)
+    return None
 
 
 # ---------------------------------------------------------------------------

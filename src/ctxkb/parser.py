@@ -22,7 +22,6 @@ variable, since time constants are integer literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import Diagnostic, ParseError
 from .lang import (
@@ -39,245 +38,246 @@ from .lang import (
     Var,
 )
 
+# Each match skips whitespace and comments, then takes one token, the catch-all
+# ``bad`` character, or the end of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<float>\d+\.\d+|\.\d+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow><-)
-  | (?P<punct>[(){}=|,.+\-])
+    (?:\s|\#[^\n]*)*
+    (?:
+        (?P<float>\d+\.\d+|\.\d+)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct><-|[(){}=|,.+\-])
+      | (?P<bad>.)
+      | (?P<eof>\Z)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-KEYWORDS = {"domain", "value", "pred", "cpred", "prob", "ctx", "combine", "with", "not"}
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "float", or the punctuation itself
-    value: object
-    line: int
-    col: int
+def _diagnostic(msg, filename, text, pos) -> Diagnostic:
+    """A diagnostic at offset ``pos`` of ``text``, located by 1-based line and column."""
+    return Diagnostic(msg, filename, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def tokenize(text: str, filename: str) -> list:
+    """The tokens of ``text`` as (kind, value, offset), ending with ("eof", None, len(text)).
+
+    ``kind`` is "ident", "int", "float", or the punctuation itself.
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError([Diagnostic(f"unexpected character {text[pos]!r}", filename, line, col)])
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
+        value = m[kind]
         if kind == "ident":
-            tokens.append(Token("ident", value, line, col))
+            append(("ident", value, m.start(kind)))
+        elif kind == "punct":
+            append((value, value, m.start(kind)))
         elif kind == "int":
-            tokens.append(Token("int", int(value), line, col))
+            append(("int", int(value), m.start(kind)))
         elif kind == "float":
-            tokens.append(Token("float", float(value), line, col))
-        elif kind in ("arrow", "punct"):
-            tokens.append(Token(value, value, line, col))
-        # ws and comments are skipped
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
+            append(("float", float(value), m.start(kind)))
+        elif kind == "eof":
+            break
         else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", None, line, col))
+            raise ParseError([_diagnostic(f"unexpected character {value!r}", filename, text, m.start(kind))])
+    append(("eof", None, len(text)))
     return tokens
 
 
 # Raw (unresolved) syntax; resolution against declarations happens in a second
-# pass so statement order in the file does not matter.
+# pass so statement order in the file does not matter.  Offsets locate
+# diagnostics; a raw atom keeps its terms apart from their offsets, so equal
+# occurrences share one key.
 
-RawTerm = tuple  # ("ident", name) | ("int", n) | ("offset", name, k) — plus location
-RawAtom = tuple  # (name, [RawTerm], line, col)
+RawTerm = tuple  # ("ident", name) | ("int", n) | ("offset", name, k)
+RawAtom = tuple  # (name, (RawTerm, ...), (term offset, ...), offset)
 
 
 class _Parser:
-    def __init__(self, tokens, filename):
+    def __init__(self, tokens, text, filename):
         self.toks = tokens
         self.i = 0
+        self.text = text
         self.filename = filename
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.i]
         self.i += 1
         return t
 
     def error(self, msg, tok=None):
         tok = tok or self.peek()
-        raise ParseError([Diagnostic(msg, self.filename, tok.line, tok.col)])
+        raise ParseError([_diagnostic(msg, self.filename, self.text, tok[2])])
 
-    def expect(self, kind) -> Token:
+    def expect(self, kind) -> tuple:
         t = self.peek()
-        if t.kind != kind:
-            self.error(f"expected {kind!r}, found {t.value!r}")
-        return self.next()
+        if t[0] != kind:
+            self.error(f"expected {kind!r}, found {t[1]!r}")
+        self.i += 1
+        return t
 
-    def expect_ident(self, what="identifier") -> Token:
+    def expect_ident(self, what="identifier") -> tuple:
         t = self.peek()
-        if t.kind != "ident":
-            self.error(f"expected {what}, found {t.value!r}")
-        return self.next()
+        if t[0] != "ident":
+            self.error(f"expected {what}, found {t[1]!r}")
+        self.i += 1
+        return t
 
     # -- statement level -----------------------------------------------------
 
     def statements(self):
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             yield self.statement()
 
     def statement(self):
         t = self.expect_ident("statement keyword")
-        kw = t.value.lower()
+        kw = t[1].lower()
+        pos = t[2]
         if kw in ("domain", "value"):
-            name = self.expect_ident("domain name").value.lower()
+            name = self.expect_ident("domain name")[1].lower()
             self.expect("=")
             self.expect("{")
             members = []
-            if self.peek().kind != "}":
-                members.append(self.expect_ident("domain member").value.lower())
-                while self.peek().kind == ",":
+            if self.peek()[0] != "}":
+                members.append(self.expect_ident("domain member")[1].lower())
+                while self.peek()[0] == ",":
                     self.next()
-                    members.append(self.expect_ident("domain member").value.lower())
+                    members.append(self.expect_ident("domain member")[1].lower())
             self.expect("}")
             self.expect(".")
-            return (kw, name, members, t)
+            return (kw, name, members, pos)
         if kw in ("pred", "cpred"):
-            name = self.expect_ident("predicate name").value.lower()
+            name = self.expect_ident("predicate name")[1].lower()
             doms = []
-            if self.peek().kind == "(":
+            if self.peek()[0] == "(":
                 self.next()
-                if self.peek().kind != ")":
-                    doms.append(self.expect_ident("domain name").value.lower())
-                    while self.peek().kind == ",":
+                if self.peek()[0] != ")":
+                    doms.append(self.expect_ident("domain name")[1].lower())
+                    while self.peek()[0] == ",":
                         self.next()
-                        doms.append(self.expect_ident("domain name").value.lower())
+                        doms.append(self.expect_ident("domain name")[1].lower())
                 self.expect(")")
             self.expect(".")
-            return (kw, name, doms, t)
+            return (kw, name, doms, pos)
         if kw == "prob":
             cons = self.atom()
             ante = []
-            if self.peek().kind == "|":
+            if self.peek()[0] == "|":
                 self.next()
                 ante.append(self.atom())
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.next()
                     ante.append(self.atom())
             self.expect("=")
-            alpha_tok = self.peek()
+            alpha_pos = self.peek()[2]
             alpha = self.number()
             context = []
-            if self.peek().kind == "<-":
+            if self.peek()[0] == "<-":
                 self.next()
                 context = self.literals()
             self.expect(".")
-            return ("prob", cons, ante, alpha, context, alpha_tok)
+            return ("prob", cons, ante, alpha, context, alpha_pos)
         if kw == "ctx":
             head = self.atom()
             body = []
-            if self.peek().kind == "<-":
+            if self.peek()[0] == "<-":
                 self.next()
                 body = self.literals()
             self.expect(".")
-            return ("ctx", head, body, t)
+            return ("ctx", head, body, pos)
         if kw == "combine":
-            pred = self.expect_ident("predicate name").value.lower()
+            pred = self.expect_ident("predicate name")[1].lower()
             w = self.expect_ident()
-            if w.value.lower() != "with":
+            if w[1].lower() != "with":
                 self.error("expected 'with'", w)
-            rule = self.expect_ident("rule name").value.lower()
+            rule = self.expect_ident("rule name")[1].lower()
             params = {}
-            if self.peek().kind == "(":
+            if self.peek()[0] == "(":
                 self.next()
                 while True:
-                    k = self.expect_ident("parameter name").value.lower()
+                    k = self.expect_ident("parameter name")[1].lower()
                     self.expect("=")
-                    v = self.peek()
-                    if v.kind in ("ident", "int", "float"):
+                    kind, value, _ = self.peek()
+                    if kind in ("ident", "int", "float"):
                         self.next()
-                        params[k] = v.value.lower() if v.kind == "ident" else v.value
+                        params[k] = value.lower() if kind == "ident" else value
                     else:
                         self.error("expected parameter value")
-                    if self.peek().kind == ",":
+                    if self.peek()[0] == ",":
                         self.next()
                         continue
                     break
                 self.expect(")")
             self.expect(".")
-            return ("combine", pred, rule, params, t)
-        self.error(f"unknown statement keyword {t.value!r}", t)
+            return ("combine", pred, rule, params, pos)
+        self.error(f"unknown statement keyword {t[1]!r}", t)
 
     # -- atoms and terms -----------------------------------------------------
 
     def atom(self) -> RawAtom:
         t = self.expect_ident("atom")
-        name = t.value
-        terms = []
-        if self.peek().kind == "(":
+        terms, offsets = [], []
+        if self.peek()[0] == "(":
             self.next()
-            if self.peek().kind != ")":
+            if self.peek()[0] != ")":
+                offsets.append(self.peek()[2])
                 terms.append(self.term())
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.next()
+                    offsets.append(self.peek()[2])
                     terms.append(self.term())
             self.expect(")")
-        return (name, terms, t.line, t.col)
+        return (t[1], tuple(terms), tuple(offsets), t[2])
 
     def term(self) -> RawTerm:
-        t = self.peek()
-        if t.kind == "int":
+        kind, value, _ = self.peek()
+        if kind == "int":
             self.next()
-            return ("int", t.value, t.line, t.col)
-        if t.kind == "-":
+            return ("int", value)
+        if kind == "-":
             self.next()
-            n = self.expect("int")
-            return ("int", -n.value, t.line, t.col)
-        if t.kind == "ident":
+            return ("int", -self.expect("int")[1])
+        if kind == "ident":
             self.next()
-            if self.peek().kind in ("+", "-"):
-                sign = 1 if self.next().kind == "+" else -1
-                k = self.expect("int")
-                return ("offset", t.value, sign * k.value, t.line, t.col)
-            return ("ident", t.value, t.line, t.col)
-        self.error(f"expected term, found {t.value!r}")
+            if self.peek()[0] in ("+", "-"):
+                sign = 1 if self.next()[0] == "+" else -1
+                return ("offset", value, sign * self.expect("int")[1])
+            return ("ident", value)
+        self.error(f"expected term, found {value!r}")
 
     def literals(self):
         lits = [self.literal()]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.next()
             lits.append(self.literal())
         return lits
 
     def literal(self):
-        t = self.peek()
-        if t.kind == "ident" and t.value.lower() == "not":
+        kind, value, _ = self.peek()
+        if kind == "ident" and value.lower() == "not":
             self.next()
             return (False, self.atom())
         return (True, self.atom())
 
     def number(self) -> float:
-        t = self.peek()
-        if t.kind in ("int", "float"):
+        kind, value, _ = self.peek()
+        if kind in ("int", "float"):
             self.next()
-            return float(t.value)
-        self.error(f"expected number, found {t.value!r}")
+            return float(value)
+        self.error(f"expected number, found {value!r}")
 
 
 class _Resolver:
     """Second pass: build and statically validate the KnowledgeBase."""
 
-    def __init__(self, filename):
+    def __init__(self, text, filename):
+        self.text = text
         self.filename = filename
         self.domains = {TIME_DOMAIN: TIME}
         self.preds = {}
@@ -285,9 +285,10 @@ class _Resolver:
         self.cb = []
         self.cr = {}
         self.diags = []
+        self.atoms = {}  # (wanted kind, name, raw terms) -> Atom, for atoms that resolved
 
-    def diag(self, msg, line=0, col=0):
-        self.diags.append(Diagnostic(msg, self.filename, line, col))
+    def diag(self, msg, pos):
+        self.diags.append(_diagnostic(msg, self.filename, self.text, pos))
 
     def run(self, statements) -> KnowledgeBase:
         prob_stmts, ctx_stmts, combine_stmts = [], [], []
@@ -295,13 +296,13 @@ class _Resolver:
         for st in statements:
             kind = st[0]
             if kind in ("domain", "value"):
-                _, name, members, tok = st
+                _, name, members, pos = st
                 if name == TIME_DOMAIN:
-                    self.diag("'time' is a reserved domain name", tok.line, tok.col)
+                    self.diag("'time' is a reserved domain name", pos)
                 elif name in self.domains:
-                    self.diag(f"duplicate domain declaration {name!r}", tok.line, tok.col)
+                    self.diag(f"duplicate domain declaration {name!r}", pos)
                 elif len(set(members)) != len(members):
-                    self.diag(f"duplicate member in domain {name!r}", tok.line, tok.col)
+                    self.diag(f"duplicate member in domain {name!r}", pos)
                 else:
                     self.domains[name] = AttributeDomain(name, tuple(members))
             elif kind in ("pred", "cpred"):
@@ -313,28 +314,27 @@ class _Resolver:
             elif kind == "combine":
                 combine_stmts.append(st)
 
-        for kw, name, doms, tok in pred_stmts:
+        for kw, name, doms, pos in pred_stmts:
             if name in self.preds:
-                self.diag(f"duplicate predicate declaration {name!r}", tok.line, tok.col)
+                self.diag(f"duplicate predicate declaration {name!r}", pos)
                 continue
             n_time = sum(1 for d in doms if d == TIME_DOMAIN)
             if n_time > 1:
-                self.diag(f"predicate {name!r} has more than one time attribute", tok.line, tok.col)
+                self.diag(f"predicate {name!r} has more than one time attribute", pos)
                 continue
             bad = [d for d in doms if d != TIME_DOMAIN and d not in self.domains]
             if bad:
-                self.diag(f"predicate {name!r} uses undeclared domain {bad[0]!r}", tok.line, tok.col)
+                self.diag(f"predicate {name!r} uses undeclared domain {bad[0]!r}", pos)
                 continue
             if kw == "pred":
                 if name not in self.domains:
                     self.diag(
                         f"p-predicate {name!r} has no value declaration (expected 'value {name} = ...')",
-                        tok.line,
-                        tok.col,
+                        pos,
                     )
                     continue
                 if not self.domains[name].members:
-                    self.diag(f"value set of {name!r} is empty", tok.line, tok.col)
+                    self.diag(f"value set of {name!r} is empty", pos)
                     continue
                 self.preds[name] = PredicateDecl(name, "p", tuple(doms), value_domain=name)
             else:
@@ -342,44 +342,39 @@ class _Resolver:
 
         kb_shell = KnowledgeBase(self.domains, self.preds, (), (), {})
 
-        for st in ctx_stmts:
-            _, raw_head, raw_body, tok = st
+        for _, raw_head, raw_body, pos in ctx_stmts:
             head = self.resolve_atom(kb_shell, raw_head, want_kind="c")
             body = self.resolve_literals(kb_shell, raw_body, want_kind="c")
             if head is not None and body is not None:
                 clause = ContextClause(head, tuple(body))
-                self.check_var_typing(kb_shell, clause.head, [a for _, a in clause.body], str(clause), tok)
+                self.check_var_typing(kb_shell, clause.head, [a for _, a in clause.body], clause, pos)
                 self.cb.append(clause)
 
-        for st in prob_stmts:
-            _, raw_cons, raw_ante, alpha, raw_context, tok = st
+        for _, raw_cons, raw_ante, alpha, raw_context, pos in prob_stmts:
             cons = self.resolve_atom(kb_shell, raw_cons, want_kind="p")
             ante = [self.resolve_atom(kb_shell, a, want_kind="p") for a in raw_ante]
             context = self.resolve_literals(kb_shell, raw_context, want_kind="c")
             if not (0.0 <= alpha <= 1.0):
-                self.diag(f"probability {alpha} outside [0, 1]", tok.line, tok.col)
+                self.diag(f"probability {alpha} outside [0, 1]", pos)
                 continue
             if cons is None or any(a is None for a in ante) or context is None:
                 continue
             sent = ProbSentence(cons, tuple(ante), alpha, tuple(context))
-            self.check_var_typing(
-                kb_shell, cons, list(ante) + [a for _, a in context], str(sent), tok
-            )
+            self.check_var_typing(kb_shell, cons, ante + [a for _, a in context], sent, pos)
             self.pb.append(sent)
 
-        for _, pred, rule, params, tok in combine_stmts:
+        for _, pred, rule, params, pos in combine_stmts:
             if pred not in self.preds or self.preds[pred].kind != "p":
-                self.diag(f"combine: {pred!r} is not a declared p-predicate", tok.line, tok.col)
+                self.diag(f"combine: {pred!r} is not a declared p-predicate", pos)
                 continue
             if pred in self.cr:
-                self.diag(f"duplicate combine declaration for {pred!r}", tok.line, tok.col)
+                self.diag(f"duplicate combine declaration for {pred!r}", pos)
                 continue
             if "distinguished" in params and params["distinguished"] not in self.domains[pred].members:
                 self.diag(
                     f"combine: distinguished value {params['distinguished']!r} "
                     f"not in VAL({pred})",
-                    tok.line,
-                    tok.col,
+                    pos,
                 )
                 continue
             self.cr[pred] = (rule, params)
@@ -389,35 +384,38 @@ class _Resolver:
         return KnowledgeBase(self.domains, self.preds, tuple(self.pb), tuple(self.cb), self.cr)
 
     def resolve_atom(self, kb, raw: RawAtom, want_kind=None):
-        name, terms, line, col = raw
+        name, terms, offsets, pos = raw
+        key = (want_kind, name, terms)
+        atom = self.atoms.get(key)
+        if atom is not None:
+            return atom
+        # only resolved atoms are kept: a failing one reports at every occurrence
         pname = name.lower()
         decl = self.preds.get(pname)
         if decl is None:
-            self.diag(f"undeclared predicate {pname!r}", line, col)
+            self.diag(f"undeclared predicate {pname!r}", pos)
             return None
         if want_kind and decl.kind != want_kind:
             kinds = {"p": "p-predicate", "c": "c-predicate"}
-            self.diag(f"{pname!r} is not a {kinds[want_kind]} here", line, col)
+            self.diag(f"{pname!r} is not a {kinds[want_kind]} here", pos)
             return None
         if len(terms) != decl.arity:
             self.diag(
                 f"arity mismatch: {pname!r} declared with {decl.arity} arguments, found {len(terms)}",
-                line,
-                col,
+                pos,
             )
             return None
         args = []
-        for i, rt in enumerate(terms):
-            dom = kb.domain_of_position(pname, i)
-            term = self.resolve_term(rt, dom, pname)
+        for i, (rt, term_pos) in enumerate(zip(terms, offsets)):
+            term = self.resolve_term(rt, term_pos, kb.domain_of_position(pname, i), pname)
             if term is None:
                 return None
             args.append(term)
-        return Atom(pname, tuple(args))
+        atom = self.atoms[key] = Atom(pname, tuple(args))
+        return atom
 
-    def resolve_term(self, rt: RawTerm, dom: AttributeDomain, pname: str):
+    def resolve_term(self, rt: RawTerm, pos: int, dom: AttributeDomain, pname: str):
         kind = rt[0]
-        line, col = rt[-2], rt[-1]
         if dom.name == TIME_DOMAIN:
             if kind == "int":
                 return Const(rt[1])
@@ -426,19 +424,17 @@ class _Resolver:
             if kind == "offset":
                 return TimeExpr(rt[1], rt[2]) if rt[2] else Var(rt[1])
         if kind == "offset":
-            self.diag("time offset used outside a time position", line, col)
+            self.diag("time offset used outside a time position", pos)
             return None
         if kind == "int":
-            self.diag(f"integer constant in non-time position of {pname!r}", line, col)
+            self.diag(f"integer constant in non-time position of {pname!r}", pos)
             return None
         name = rt[1]
         if name[0].isupper():
             return Var(name)
         cname = name.lower()
         if cname not in dom:
-            self.diag(
-                f"constant {cname!r} not in domain {dom.name!r} of {pname!r}", line, col
-            )
+            self.diag(f"constant {cname!r} not in domain {dom.name!r} of {pname!r}", pos)
             return None
         return Const(cname)
 
@@ -451,36 +447,48 @@ class _Resolver:
             out.append((positive, a))
         return out
 
-    def check_var_typing(self, kb, head, other_atoms, where, tok):
+    def check_var_typing(self, kb, head, other_atoms, where, pos):
+        """Diagnose a variable used with two domains in ``where``, a clause or a sentence."""
         seen = {}
         for atom in [head] + other_atoms:
             for i, term in enumerate(atom.args):
-                names = []
                 if isinstance(term, Var):
-                    names = [term.name]
+                    n = term.name
                 elif isinstance(term, TimeExpr):
-                    names = [term.var]
+                    n = term.var
+                else:
+                    continue
                 dom = kb.domain_of_position(atom.pred, i).name
-                for n in names:
-                    if n in seen and seen[n] != dom:
-                        self.diag(
-                            f"variable {n} used with domains {seen[n]!r} and {dom!r} in {where}",
-                            tok.line,
-                            tok.col,
-                        )
-                    seen[n] = dom
+                if n in seen and seen[n] != dom:
+                    self.diag(f"variable {n} used with domains {seen[n]!r} and {dom!r} in {where}", pos)
+                seen[n] = dom
+
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # bytes that are not UTF-8, as surrogateescape decodes them
+
+
+def _read(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 is a ParseError at its line and column."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            text = f.read()
+    bad = _NOT_UTF8.search(text)
+    msg = f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}"
+    raise ParseError([_diagnostic(msg, str(path), text, bad.start())])
 
 
 def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
     """Parse and statically validate a knowledge base. Raises ParseError."""
     tokens = tokenize(text, filename)
-    stmts = list(_Parser(tokens, filename).statements())
-    return _Resolver(filename).run(stmts)
+    stmts = list(_Parser(tokens, text, filename).statements())
+    return _Resolver(text, filename).run(stmts)
 
 
 def load_kb(path) -> KnowledgeBase:
-    with open(path, encoding="utf-8") as f:
-        return parse_kb(f.read(), filename=str(path))
+    return parse_kb(_read(path), filename=str(path))
 
 
 def parse_atom(kb: KnowledgeBase, text: str, filename: str = "<query>") -> Atom:
@@ -494,14 +502,14 @@ def parse_atom(kb: KnowledgeBase, text: str, filename: str = "<query>") -> Atom:
 def parse_atoms(kb: KnowledgeBase, text: str, filename: str = "<input>") -> list:
     """Parse a context/evidence/plan file: atoms separated by ``.`` or newlines."""
     tokens = tokenize(text, filename)
-    p = _Parser(tokens, filename)
-    res = _Resolver(filename)
+    p = _Parser(tokens, text, filename)
+    res = _Resolver(text, filename)
     res.domains = dict(kb.domains)
     res.preds = dict(kb.preds)
     raw = []
-    while p.peek().kind != "eof":
+    while p.peek()[0] != "eof":
         raw.append(p.atom())
-        if p.peek().kind == ".":
+        if p.peek()[0] == ".":
             p.next()
     atoms = [res.resolve_atom(kb, r) for r in raw]
     if res.diags:
@@ -510,5 +518,4 @@ def parse_atoms(kb: KnowledgeBase, text: str, filename: str = "<input>") -> list
 
 
 def load_atoms(kb: KnowledgeBase, path) -> list:
-    with open(path, encoding="utf-8") as f:
-        return parse_atoms(kb, f.read(), filename=str(path))
+    return parse_atoms(kb, _read(path), filename=str(path))

@@ -45,6 +45,24 @@ def test_check_parse_error_exit_1(runner, tmp_path):
     assert "bad.ckb:3" in r.output
 
 
+def test_check_kb_not_utf8_is_one_line_exit_1(runner, tmp_path):
+    bad = tmp_path / "latin1.ckb"
+    bad.write_bytes(b"value p = { a }.\n# caf\xe9 au lait\npred p(time).\n")
+    r = runner.invoke(main, ["check", str(bad)])
+    assert r.exit_code == 1
+    _one_line_error(r)
+    assert r.output == f"{bad}:2:6: error: invalid UTF-8 byte 0xe9\n"
+
+
+def test_query_evidence_not_utf8_is_one_line_exit_1(runner, cardiac, tmp_path):
+    ev = tmp_path / "latin1.txt"
+    ev.write_bytes(b"rhythm(john, 0, vf).\r\nrhythm(mary, 0, \xe9).\n")
+    r = runner.invoke(main, ["query", cardiac["kb"], "--evidence", str(ev), "--query", "rhythm(john, 1, V)"])
+    assert r.exit_code == 1
+    _one_line_error(r)
+    assert r.output == f"{ev}:2:17: error: invalid UTF-8 byte 0xe9\n"
+
+
 def test_check_cycle_exit_2(runner, tmp_path):
     bad = tmp_path / "cyc.ckb"
     bad.write_text(
@@ -337,6 +355,19 @@ def test_project_support_outside_window_exit_1(runner, cardiac, tmp_path):
     assert r.exit_code == 1
     _one_line_error(r)
     assert "outside the session bounds" in r.output
+
+
+@pytest.mark.parametrize("minute", [1, 2])
+def test_query_evidence_whose_ancestor_needs_time_before_window_exit_1(runner, cardiac, tmp_path, minute):
+    # at minute 2 the evidence's own sentences apply, but its parent at minute 1 needs minute 0
+    ev = tmp_path / "ev.txt"
+    ev.write_text(f"rhythm(john, {minute}, vf).\n")
+    r = runner.invoke(main, [
+        "query", cardiac["kb"], "--evidence", str(ev), "--query", "rhythm(john, 3, V)",
+        "--from", "1", "--to", "3",
+    ])
+    assert r.exit_code == 1
+    assert r.output == "support for ('rhythm', 'john', 1) requires a time outside the session bounds\n"
 
 
 def test_project_cycle_exit_2(runner, tmp_path):

@@ -205,6 +205,15 @@ def test_demand_walk_matches_full_base_on_paint_horizon(paint_kb):
     _same_net(got, _full_net(paint_kb, vs))
 
 
+def _no_gap_a_wider_window_supports(kb, session, err):
+    """No object named as unsupported gets a table once the window starts at 0."""
+    wide = session_for(kb, **dict(session, lo=0))
+    for obj, detail in err.missing:
+        if detail.startswith("no applicable sentence"):
+            base, _, _ = build_combined_base(kb, wide, demand={obj})
+            assert obj not in base.tables, f"{obj} is supported in [0, {wide.hi}]: {err}"
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(timed_kbs())
 def test_timed_corpus(case):
@@ -220,6 +229,8 @@ def test_timed_corpus(case):
         with pytest.raises(type(e)) as full:
             _full_net(kb, vs)
         assert str(full.value) == str(e)
+        if isinstance(e, QuantificationError):
+            _no_gap_a_wider_window_supports(kb, session, e)
     else:
         _same_net(got, _full_net(kb, vs))
         ans, ref = answer_query(kb, vs), oracle_answer(kb, vs)
