@@ -14,6 +14,7 @@ exits with the error class's ``exit_code``; an unreadable file exits 1.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -213,16 +214,18 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     base_query = _query_atom(kb, query_text)
     frm, to = _default_bounds(kb, frm, to, ctx + ev + [base_query])
 
+    # validated as the user wrote it, so that diagnostics name their query
+    s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=base_query)
+    session = validate_session(kb, s)
     tp = kb.decl(base_query.pred).time_position(kb)
     if tp is None:
         _fail(1, f"project: query predicate {base_query.pred!r} has no time attribute")
 
     args = list(base_query.args)
     args[tp] = Var(_TIME_VAR)
-    query_all = Atom(base_query.pred, tuple(args))
-    s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=query_all)
+    session = dataclasses.replace(session, query=Atom(base_query.pred, tuple(args)))
     steps = {t: [] for t in range(frm, to + 1)}
-    for theta, vec in answer_query(kb, validate_session(kb, s)).instances:
+    for theta, vec in answer_query(kb, session).instances:
         theta = dict(theta)
         steps[theta.pop(_TIME_VAR)].append((theta, vec))
     _emit_instances(kb, base_query, frm, to, steps, fmt)

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One problem found in an input file or knowledge base."""
+    """One problem found in an input file or knowledge base.
+
+    Without a ``file`` it has no location (a session or whole-KB check), and
+    prints as ``<severity>: <message>``.
+    """
 
     message: str
-    file: str = "<input>"
+    file: Optional[str] = None
     line: int = 0
     col: int = 0
     severity: str = "error"
 
     def __str__(self) -> str:
+        if self.file is None:
+            return f"{self.severity}: {self.message}"
         return f"{self.file}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
 

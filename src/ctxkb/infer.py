@@ -6,15 +6,22 @@ that elimination produces is rescaled by a power of two, carried in the
 factor's ``log2_scale`` (Rabiner 1989 scaling), so long evidence runs do not
 underflow.  The answer to a complete query is one posterior vector per ground
 query instance, aligned with the declared value order.
+
+A factor is a flat row-major list of floats in plain Python.  The factors of
+a supporting network are small (tens to a few thousand entries), so a numpy
+array's per-call overhead cost more than its arithmetic saved, and loading
+numpy cost more than a whole query.  Each way of lining two factors up is
+worked out once per pattern of cardinalities and reused as an ``itemgetter``.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from operator import add, itemgetter, mul
 
 from .errors import ConsistencyError, CtxkbError, ImpossibleEvidenceError
 from .lang import (
@@ -29,21 +36,61 @@ from .logic import ancestors
 from .netbuild import BayesNet, NetNode, build_net, query_obj
 
 NORM_TOL = 1e-9
+_NON_NEGATIVE = (0.0).__le__  # false for negative entries and for NaN
+
+
+class Entries(list):
+    """A factor's entries, flat and row-major; ``size`` counts them, as for an array."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        return len(self)
 
 
 @dataclass
 class Factor:
     scope: tuple  # of Obj, in axis order
-    values: np.ndarray  # shape = tuple of cardinalities along scope
+    cards: tuple  # the number of values of each scope object
+    values: Entries  # row-major over scope: the last object varies fastest
     log2_scale: int = 0  # the factor's entries are values * 2**log2_scale
 
-    def __post_init__(self):
-        if self.values.ndim != len(self.scope):
-            raise ConsistencyError(
-                [f"factor over {self.scope} has {self.values.ndim} axes"]
-            )
-        if not (self.values >= 0).all():
-            raise ConsistencyError([f"factor over {self.scope} has a negative entry"])
+
+@lru_cache(maxsize=256)
+def _strides(cards: tuple) -> tuple:
+    """Row-major strides of a factor with these cardinalities."""
+    out = [1] * len(cards)
+    for i in range(len(cards) - 1, 0, -1):
+        out[i - 1] = out[i] * cards[i]
+    return tuple(out)
+
+
+@lru_cache(maxsize=512)
+def _take(cards: tuple, strides: tuple, offset: int = 0) -> itemgetter:
+    """Picks the entries of a row-major walk over ``cards`` from a factor with axis ``strides``.
+
+    The i-th entry picked sits at ``offset`` plus the dot product of the i-th
+    assignment to ``cards`` with ``strides``; a stride of 0 repeats the factor
+    along an axis it lacks.  Evenly spaced positions become one slice.  Apply
+    it to an exact ``list``: ``itemgetter`` is slower on a subclass.
+    Patterns recur across factors, so each is built once.
+    """
+    idx = [offset]
+    for c, s in zip(cards, strides):
+        idx = [i + k * s for i in idx for k in range(c)]
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if step > 0 and idx == list(range(idx[0], idx[-1] + 1, step)):
+        return itemgetter(slice(idx[0], idx[-1] + 1, step))
+    return itemgetter(*idx)
+
+
+@lru_cache(maxsize=256)
+def _sum_takes(cards: tuple, axis: int) -> tuple:
+    """One ``_take`` per value of ``axis``: the slices that summing it out adds."""
+    strides = _strides(cards)
+    rest, rest_strides = cards[:axis] + cards[axis + 1 :], strides[:axis] + strides[axis + 1 :]
+    return tuple(_take(rest, rest_strides, k * strides[axis]) for k in range(cards[axis]))
 
 
 class FactorBuilder:
@@ -62,58 +109,82 @@ class FactorBuilder:
         return len(self.kb.val(obj[0]))
 
     def cpt_factor(self, node: NetNode) -> Factor:
+        """The node's CPT as a factor over (parents..., node); rows it lacks stay zero.
+
+        Every factor entry starts here, and products and sums of non-negative
+        entries stay non-negative, so this is the one place that checks sign.
+        """
         scope = node.parents + (node.obj,)
-        shape = tuple(self.card(o) for o in scope)
-        arr = np.zeros(shape)
-        for assignment, row in node.cpt.items():
-            idx = tuple(
-                self.vindex(p)[v] for p, v in zip(node.parents, assignment)
-            )
-            arr[idx] = np.asarray(row)
-        return Factor(scope, arr)
+        domains = [self.kb.val(o[0]) for o in scope]
+        cards = tuple(map(len, domains))
+        if any(map(cards[-1].__ne__, map(len, node.cpt.values()))):
+            raise ConsistencyError([f"a row of the table of {node.obj} has the wrong length"])
+        # rows in row-major order of the parents' values, zeros where the table has none
+        zeros = (0.0,) * cards[-1]
+        rows = map(node.cpt.get, itertools.product(*domains[:-1]), itertools.repeat(zeros))
+        values = Entries(itertools.chain.from_iterable(rows))
+        if not all(map(_NON_NEGATIVE, values)):
+            raise ConsistencyError([f"factor over {scope} has a negative entry"])
+        return Factor(scope, cards, values)
 
     def reduce(self, factor: Factor, evidence: dict) -> Factor:
         """Slice out observed values for scope objects present in evidence."""
-        scope = []
-        index = []
-        for o in factor.scope:
+        scope, cards, strides = [], [], []
+        offset = 0
+        for o, c, s in zip(factor.scope, factor.cards, _strides(factor.cards)):
             if o in evidence:
-                index.append(self.vindex(o)[evidence[o]])
+                offset += self.vindex(o)[evidence[o]] * s
             else:
-                index.append(slice(None))
                 scope.append(o)
-        return Factor(tuple(scope), factor.values[tuple(index)])
+                cards.append(c)
+                strides.append(s)
+        if len(scope) == len(factor.scope):
+            return factor
+        cards = tuple(cards)
+        picked = _take(cards, tuple(strides), offset)(factor.values[:])
+        return Factor(tuple(scope), cards, Entries(picked))
+
+
+@lru_cache(maxsize=512)
+def _product_plan(a_cards: tuple, b_cards: tuple, b_in_a: tuple):
+    """How to multiply factors of these cardinalities; ``b_in_a`` gives the axis
+    of a that each axis of b shares, or None where a lacks that object.
+
+    Returns b's axes that a lacks, the product's cardinalities, and the takes
+    that line a (None when no axis is new) and b up with the product's entries.
+    """
+    new = tuple(j for j, i in enumerate(b_in_a) if i is None)
+    cards = a_cards + tuple(b_cards[j] for j in new)
+    take_a = _take(cards, _strides(a_cards) + (0,) * len(new)) if new else None
+    along = [0] * len(cards)  # b's stride along each axis of the product
+    for j, (i, s) in enumerate(zip(b_in_a, _strides(b_cards))):
+        along[len(a_cards) + new.index(j) if i is None else i] = s
+    return new, cards, take_a, _take(cards, tuple(along))
 
 
 def multiply(a: Factor, b: Factor) -> Factor:
-    scope = list(a.scope)
-    for o in b.scope:
-        if o not in scope:
-            scope.append(o)
-    scope = tuple(scope)
-
-    def align(f: Factor) -> np.ndarray:
-        src = [f.scope.index(o) if o in f.scope else None for o in scope]
-        arr = f.values
-        # move existing axes into target order, inserting new axes of length 1
-        order = [i for i in src if i is not None]
-        arr = np.transpose(arr, order) if order else arr
-        shape = []
-        k = 0
-        for i in src:
-            if i is None:
-                shape.append(1)
-            else:
-                shape.append(arr.shape[k])
-                k += 1
-        return arr.reshape(shape)
-
-    return Factor(scope, align(a) * align(b), a.log2_scale + b.log2_scale)
+    """The product over a's scope followed by b's objects that a lacks."""
+    b_in_a = tuple(a.scope.index(o) if o in a.scope else None for o in b.scope)
+    new, cards, take_a, take_b = _product_plan(a.cards, b.cards, b_in_a)
+    scope, av = a.scope, a.values
+    if new:
+        scope += tuple(b.scope[j] for j in new)
+        av = take_a(av[:])
+    values = Entries(map(mul, av, take_b(b.values[:])))
+    return Factor(scope, cards, values, a.log2_scale + b.log2_scale)
 
 
 def marginalize(f: Factor, obj: Obj) -> Factor:
+    """Sum ``obj`` out of ``f``, adding its slices in value order."""
     i = f.scope.index(obj)
-    return Factor(f.scope[:i] + f.scope[i + 1 :], f.values.sum(axis=i), f.log2_scale)
+    v = f.values[:]
+    first, *rest = _sum_takes(f.cards, i)
+    acc = first(v)
+    for take in rest:
+        acc = map(add, acc, take(v))
+    return Factor(
+        f.scope[:i] + f.scope[i + 1 :], f.cards[:i] + f.cards[i + 1 :], Entries(acc), f.log2_scale
+    )
 
 
 def _rescale(f: Factor) -> Factor:
@@ -122,21 +193,27 @@ def _rescale(f: Factor) -> Factor:
     Scaling by a power of two is exact, so posteriors are bit for bit those of
     the unscaled products wherever those did not underflow.
     """
-    top = float(f.values.max())
+    top = max(f.values)
     if top == 0.0:
         return f
     e = math.frexp(top)[1] - 1
     if e == 0:
         return f
-    return Factor(f.scope, np.ldexp(f.values, -e), f.log2_scale + e)
+    values = Entries(map(math.ldexp, f.values, itertools.repeat(-e)))
+    return Factor(f.scope, f.cards, values, f.log2_scale + e)
 
 
 def _product(factors) -> Factor:
-    """Left-to-right product of a non-empty factor list, rescaled at each step."""
+    """Left-to-right product of a non-empty factor list.
+
+    Each partial product is rescaled before the next factor multiplies it.
+    The last is left to the caller: summing an object out commutes with an
+    exact power-of-two scale, so one rescale after the sum does for both.
+    """
     prod = factors[0]
-    for f in factors[1:]:
+    for f in factors[1:-1]:
         prod = _rescale(multiply(prod, f))
-    return prod
+    return multiply(prod, factors[-1]) if len(factors) > 1 else prod
 
 
 def min_fill_order(scopes, keep):
@@ -235,9 +312,10 @@ def eliminate(
         result = _product(list(live.values()))
         if target in evidence:
             # degenerate: expand the observed target back into a vector
-            vec = np.zeros(fb.card(target))
-            vec[fb.vindex(target)[evidence[target]]] = float(result.values)
-            result = Factor((target,), vec, result.log2_scale)
+            [mass] = result.values
+            vec = [0.0] * fb.card(target)
+            vec[fb.vindex(target)[evidence[target]]] = mass
+            result = Factor((target,), (len(vec),), Entries(vec), result.log2_scale)
         out[target] = result
     return out
 
@@ -283,10 +361,11 @@ def answer_on_net(
             raise ConsistencyError(
                 [f"elimination for {target} left the scope {vec.scope}"]
             )
-        mass = float(vec.values.sum())  # P(E) / 2**log2_scale
+        mass = 0.0  # P(E) / 2**log2_scale, summed in value order
+        for p in vec.values:
+            mass += p
         if mass == 0.0:
             raise ImpossibleEvidenceError("evidence has zero probability (P(E) = 0)")
-        post = vec.values / mass
-        post = np.clip(post, 0.0, 1.0)
-        instances.append((theta, PosteriorVector(target, tuple(float(p) for p in post))))
+        post = tuple(min(max(p / mass, 0.0), 1.0) for p in vec.values)
+        instances.append((theta, PosteriorVector(target, post)))
     return QueryAnswer(session.query, instances)

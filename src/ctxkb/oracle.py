@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EnumerationGuardError, ImpossibleEvidenceError
 from .infer import PosteriorVector
 from .lang import KnowledgeBase, Obj, SessionInput, obj_sort_key, validate_session
@@ -154,7 +152,13 @@ def forward_sample(
     evidence: dict = None,
 ):
     """Ancestral sampling with rejection; returns (per-target empirical vectors,
-    number of accepted samples)."""
+    number of accepted samples).
+
+    The one numpy user in ctxkb: it is imported here so that answering a
+    query never pays for loading it.
+    """
+    import numpy as np
+
     evidence = evidence or {}
     rng = np.random.default_rng(seed)
     vindex = {o: {v: i for i, v in enumerate(kb.val(o[0]))} for o in net.nodes}

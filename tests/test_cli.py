@@ -82,6 +82,11 @@ def test_check_allowedness_exit_3(runner, tmp_path):
     )
     r = runner.invoke(main, ["check", str(bad)])
     assert r.exit_code == 3
+    # a whole-KB check has no location to give: no placeholder file:0:0
+    assert r.output == (
+        "error: variable X in prob p(X, yes) = 0.5. has no finitely groundable position; "
+        "error: variable X in prob p(X, no) = 0.5. has no finitely groundable position\n"
+    )
 
 
 def test_check_bad_row_sum_exit_4(runner, tmp_path):
@@ -453,3 +458,65 @@ def test_project_matches_query_at_each_timestep(runner, cardiac, tmp_path):
         expected = json.loads(q.output)["instances"]
         assert [i["bindings"] for i in expected] == [{"X": "john"}, {"X": "mary"}]
         assert row["instances"] == expected
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["--query", "rhythm(john, 1, nsr)"],
+         "error: query rhythm(john, 1, nsr): last argument must be a variable"),
+        (["--query", "rhythm(john, 1, V)", "--from", "3", "--to", "1"],
+         "error: bounds (3, 1) have lo > hi"),
+    ],
+)
+def test_query_session_error_has_no_placeholder_location(runner, cardiac, args, line):
+    r = runner.invoke(main, ["query", cardiac["kb"], *args])
+    assert r.exit_code == 1
+    assert r.output == line + "\n"
+
+
+def test_project_error_names_the_query_as_written(runner, cardiac, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("epi(john, 0).\n")
+    r = runner.invoke(main, [
+        "project", cardiac["kb"], "--plan", str(plan), "--query", "epi(john, T)", "--to", "3",
+    ])
+    assert r.exit_code == 1
+    assert r.output == "error: query epi(john, T) is not over a declared p-predicate\n"
+
+
+# Runs the CLI as ``python -m ctxkb.cli`` would, then exits 7 if numpy was loaded.
+_RUN_CLI_WITHOUT_NUMPY = "\n".join([
+    "import runpy, sys",
+    "try:",
+    "    runpy.run_module('ctxkb.cli', run_name='__main__', alter_sys=True)",
+    "except SystemExit as e:",
+    "    if e.code:",
+    "        raise",
+    "sys.exit(7 if 'numpy' in sys.modules else 0)",
+])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["query", "--context", "{ctx}", "--evidence", "{ev}", "--query", "rhythm(john, 3, V)"],
+        ["project", "--plan", "{ctx}", "--evidence", "{ev}", "--query", "rhythm(X, T, V)",
+         "--to", "3"],
+    ],
+)
+def test_answering_does_not_import_numpy(cardiac, command):
+    src = os.path.dirname(os.path.dirname(ctxkb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [command[0], cardiac["kb"]] + [a.format(**cardiac) for a in command[1:]]
+    r = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI_WITHOUT_NUMPY, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert "vf" in r.stdout  # the answer's table was printed
+    bare = subprocess.run(
+        [sys.executable, "-c", "import ctxkb, sys; sys.exit(7 if 'numpy' in sys.modules else 0)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert bare.returncode == 0, bare.stderr
