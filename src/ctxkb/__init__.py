@@ -6,7 +6,7 @@ by exact variable elimination and cross-checkable against possible-model
 enumeration.
 """
 
-from .combining import CauseMechanism, CombiningRule, RuleRegistry, builtin_registry, noisy_max
+from .combining import noisy_max
 from .errors import (
     CombiningRuleError,
     ConflictingSentencesError,
@@ -51,9 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "BayesNet",
-    "CauseMechanism",
     "CombinedBase",
-    "CombiningRule",
     "CombiningRuleError",
     "ConflictingSentencesError",
     "ConsistencyError",
@@ -72,7 +70,6 @@ __all__ = [
     "QuantificationError",
     "QueryAnswer",
     "RelevantAtomSet",
-    "RuleRegistry",
     "SessionError",
     "SessionInput",
     "TimeExpr",
@@ -81,7 +78,6 @@ __all__ = [
     "answer_query",
     "build_combined_base",
     "build_net",
-    "builtin_registry",
     "check_acyclic_cb",
     "check_acyclic_pb",
     "check_allowed",

@@ -1,55 +1,52 @@
-"""Combining rules: merge several same-consequent cause mechanisms into one row.
+"""Combining rules: merge several same-consequent causes into one row.
 
-Each mechanism is one conditional distribution over the consequent's value
-set, contributed by one rule group.  The shipped ``noisy_max`` rule treats
-the value set as totally ordered with the first (distinguished) value as the
-inactive state; each mechanism independently draws a value and the consequent
+Each cause is one conditional distribution over the consequent's value set,
+contributed by one rule group.  The shipped ``noisy_max`` rule treats the
+value set as totally ordered with the first (distinguished) value as the
+inactive state; each cause independently draws a value and the consequent
 takes the maximum.  On binary value sets this is classical noisy-OR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CombiningRuleError
 
 NORM_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class CauseMechanism:
-    """One rule group's contribution: antecedents plus a distribution over VAL."""
-
-    antecedents: frozenset  # of (Obj, value)
-    distribution: tuple  # probabilities aligned with the consequent value order
+# rule name -> the parameters it takes; the rule is the function of that name here
+RULES = {"noisy_max": ("distinguished",), "single_only": ()}
 
 
-@dataclass(frozen=True)
-class CombiningRule:
-    name: str
-    apply: object  # (obj, [CauseMechanism], value_order, params) -> tuple of probs
+def rule(name: str):
+    """The combining function named ``name``.
+
+    Read from this module's namespace at each call, so a wrapper installed
+    over ``noisy_max`` or ``single_only`` is the one that runs.
+    """
+    if name not in RULES:
+        raise CombiningRuleError(f"unknown combining rule {name!r}")
+    return globals()[name]
 
 
-def _check_normalized(mechanisms):
-    for m in mechanisms:
-        s = sum(m.distribution)
+def _check_normalized(dists):
+    for d in dists:
+        s = sum(d)
         if abs(s - 1.0) > NORM_TOL:
-            raise CombiningRuleError(
-                f"mechanism distribution sums to {s!r}, expected 1"
-            )
+            raise CombiningRuleError(f"mechanism distribution sums to {s!r}, expected 1")
 
 
-def noisy_max(obj, mechanisms, value_order, params=None):
+def noisy_max(obj, dists, value_order, params=None):
     """P(v_k) = prod_i Q_i(<= v_k) - prod_i Q_i(<= v_{k-1}).
 
-    ``value_order`` is the declared value order, first value distinguished.
-    A ``distinguished`` parameter rotates a different value to the front.
+    ``dists`` holds one distribution per cause, aligned with ``value_order``,
+    the declared value order, first value distinguished.  A
+    ``distinguished`` parameter rotates a different value to the front.
     """
-    if not mechanisms:
+    if not dists:
         raise CombiningRuleError("noisy_max needs at least one mechanism")
-    _check_normalized(mechanisms)
-    if len(mechanisms) == 1:
-        return tuple(mechanisms[0].distribution)
+    _check_normalized(dists)
+    if len(dists) == 1:
+        return tuple(dists[0])
     order = list(range(len(value_order)))
     if params and "distinguished" in params:
         d = value_order.index(params["distinguished"])
@@ -57,10 +54,10 @@ def noisy_max(obj, mechanisms, value_order, params=None):
     # cumulative products in combination order
     n = len(value_order)
     cum = [1.0] * n
-    for m in mechanisms:
+    for dist in dists:
         acc = 0.0
         for rank, i in enumerate(order):
-            acc += m.distribution[i]
+            acc += dist[i]
             cum[rank] *= acc
     out = [0.0] * n
     prev = 0.0
@@ -70,35 +67,9 @@ def noisy_max(obj, mechanisms, value_order, params=None):
     return tuple(out)
 
 
-def single_only(obj, mechanisms, value_order, params=None):
+def single_only(obj, dists, value_order, params=None):
     """Pass-through rule for predicates that never have multiple influences."""
-    if len(mechanisms) != 1:
-        raise CombiningRuleError(
-            f"single_only: {obj} has {len(mechanisms)} rule groups, expected 1"
-        )
-    _check_normalized(mechanisms)
-    return tuple(mechanisms[0].distribution)
-
-
-@dataclass
-class RuleRegistry:
-    rules: dict = field(default_factory=dict)
-
-    def register(self, rule: CombiningRule):
-        if rule.name in self.rules:
-            raise CombiningRuleError(f"combining rule {rule.name!r} already registered")
-        self.rules[rule.name] = rule
-        return rule.name
-
-    def resolve(self, name: str) -> CombiningRule:
-        try:
-            return self.rules[name]
-        except KeyError:
-            raise CombiningRuleError(f"unknown combining rule {name!r}") from None
-
-
-def builtin_registry() -> RuleRegistry:
-    reg = RuleRegistry()
-    reg.register(CombiningRule("noisy_max", noisy_max))
-    reg.register(CombiningRule("single_only", single_only))
-    return reg
+    if len(dists) != 1:
+        raise CombiningRuleError(f"single_only: {obj} has {len(dists)} rule groups, expected 1")
+    _check_normalized(dists)
+    return tuple(dists[0])

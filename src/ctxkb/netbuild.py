@@ -27,7 +27,7 @@ from .lang import (
     validate_session,
 )
 from .logic import groundings, topo_order
-from .relevance import CombinedBase, RelevantAtomSet, _schema_typing, build_combined_base
+from .relevance import CombinedBase, RelevantAtomSet, _schema_typing, build_combined_base, table_gaps
 
 
 @dataclass
@@ -116,13 +116,9 @@ def assemble_net(
             outside = _support_out_of_window(kb, obj, session.lo, session.hi, base.tables)
             if outside is not None:
                 raise OutOfBoundsSupportError(outside)
-            gaps.append((obj, "no applicable sentence inside the session window"))
-            continue
-        if table.missing:
-            gaps.extend(
-                (obj, f"missing cell {m}") for m in table.missing
-            )
-        stack.extend(p for p in table.parents if p not in reached)
+        else:
+            stack.extend(p for p in table.parents if p not in reached)
+        gaps.extend(table_gaps(obj, table))
     if gaps:
         raise QuantificationError(gaps)
 

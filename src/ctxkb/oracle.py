@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationGuardError, ImpossibleEvidenceError
+from .errors import EnumerationGuardError, ImpossibleEvidenceError, QuantificationError
 from .infer import PosteriorVector
 from .lang import KnowledgeBase, Obj, SessionInput, obj_sort_key, validate_session
 from .logic import ancestors, topo_order
 from .netbuild import BayesNet, query_instances
-from .relevance import CombinedBase, RelevantAtomSet, build_combined_base
+from .relevance import CombinedBase, RelevantAtomSet, build_combined_base, table_gaps
 
 DEFAULT_GUARD = 10**7
 
@@ -39,7 +39,6 @@ class JointDistribution:
 def enumerate_joint(
     base: CombinedBase,
     ras: RelevantAtomSet = None,
-    kb: KnowledgeBase = None,
     objs=None,
     guard: int = DEFAULT_GUARD,
     evidence: dict = None,
@@ -54,12 +53,10 @@ def enumerate_joint(
     """
     if objs is None:
         objs = ras.objs if ras is not None else base.tables.keys()
-    order = topo_order(
-        {o: base.tables[o].parents for o in objs if o in base.tables}, "combined relevant base"
-    )
-    if set(order) != set(objs):
-        missing = sorted(set(objs) - set(order), key=obj_sort_key)
-        raise KeyError(f"objects without conditional tables: {missing[:3]}")
+    gaps = [gap for o in sorted(objs, key=obj_sort_key) for gap in table_gaps(o, base.tables.get(o))]
+    if gaps:
+        raise QuantificationError(gaps)
+    order = topo_order({o: base.tables[o].parents for o in objs}, "combined relevant base")
     evidence = evidence or {}
     tables = [base.tables[o] for o in order]
     pos = {o: i for i, o in enumerate(order)}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 
+from .combining import RULES
 from .errors import Diagnostic, ParseError
 from .lang import (
     TIME,
@@ -196,12 +197,18 @@ class _Parser:
             w = self.expect_ident()
             if w[1].lower() != "with":
                 self.error("expected 'with'", w)
-            rule = self.expect_ident("rule name")[1].lower()
+            rt = self.expect_ident("rule name")
+            rule = rt[1].lower()
+            if rule not in RULES:
+                self.error(f"unknown combining rule {rule!r}", rt)
             params = {}
             if self.peek()[0] == "(":
                 self.next()
                 while True:
-                    k = self.expect_ident("parameter name")[1].lower()
+                    kt = self.expect_ident("parameter name")
+                    k = kt[1].lower()
+                    if k not in RULES[rule]:
+                        self.error(f"combining rule {rule} has no parameter {k!r}", kt)
                     self.expect("=")
                     kind, value, _ = self.peek()
                     if kind in ("ident", "int", "float"):

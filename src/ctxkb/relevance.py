@@ -3,12 +3,15 @@
 The pipeline turns a knowledge base plus a validated session into the
 combined relevant base (one conditional table per relevant object):
 
-    discharge_contexts -> compute_ras -> restrict_rpb -> combine_rpb
-    -> check_consistency
+    discharge_contexts -> compute_ras -> combine_rpb -> check_consistency
 
 Discharge walks backward from a demand of ground objects (a query's
 candidates and the evidence), so the base holds only the tables those
 objects depend on; with no demand it covers every object in the window.
+One record per proven schema grounding flows through all three stages:
+``(obj, parents, context, cells)``, where ``parents`` are the distinct
+antecedent objects sorted by ``obj_sort_key``, ``context`` is the proven
+ground guard, and each cell is ``(value, parent values, alpha)``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .combining import CauseMechanism, RuleRegistry, builtin_registry
+from . import combining
 from .errors import ConflictingSentencesError, ConsistencyError, CycleError
 from .lang import Atom, KnowledgeBase, Obj, ValidatedSession, Var, fill_slots, obj_sort_key
 from .logic import _Solver, _variable_typing, ground_context_program, groundings, topo_order
@@ -43,14 +46,6 @@ class GroundSentence:
             )
             return f"P({cons} | {ante}) = {self.alpha}"
         return f"P({cons}) = {self.alpha}"
-
-
-@dataclass(frozen=True)
-class DischargedInstance:
-    """A ground sentence instance whose context guard was proven."""
-
-    sentence: GroundSentence
-    context: tuple  # the proven ground context literals, as (sign, CAtom)
 
 
 @dataclass(frozen=True)
@@ -105,17 +100,17 @@ def _window_objects(kb: KnowledgeBase, lo: int, hi: int):
                 yield (decl.name,) + tuple(theta[v.name].value for v in pattern.args)
 
 
-def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, demand=None):
-    """Every ground PB instance the demanded objects reach whose context guard holds.
+def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None):
+    """One record per schema grounding the demanded objects reach whose guard holds.
 
     A backward walk from ``demand``, a set of ground objects (every ground
     p-object in the window when None).  Each object is matched once against
     each schema of its predicate; the remaining variables are grounded over
-    their ranges, the guard is proven once per grounding, and every coherent
-    cell of the schema becomes an instance.  The antecedent objects of the
-    kept instances join the walk, so the result holds every instance whose
-    consequent is a demanded object or one of their ancestors: all that the
-    relevant set and the combined tables of those objects depend on.
+    their ranges, the guard is proven once per grounding, and the coherent
+    cells of the grounding become one ``(obj, parents, context, cells)``
+    record.  The parents of each record join the walk, so the records cover
+    every demanded object and its ancestors: all that the relevant set and
+    the combined tables of those objects depend on.
     """
     lo, hi = session.lo, session.hi
     solver = _Solver(ground_context_program(kb, session.context, lo, hi))
@@ -124,7 +119,7 @@ def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, de
         demand = _window_objects(kb, lo, hi)
     stack = sorted(set(demand), key=obj_sort_key, reverse=True)
     seen = set(stack)
-    out: dict = {}  # DischargedInstance -> None, first occurrence first
+    out = []
     while stack:
         obj = stack.pop()
         for schema in kb.schemas.get(obj[0], ()):
@@ -142,23 +137,33 @@ def discharge_contexts_detailed(kb: KnowledgeBase, session: ValidatedSession, de
                 context = tuple((sign, (p,) + fill_slots(slots, theta)) for sign, p, slots in schema.context)
                 if not solver.proves(context):
                     continue
-                objs = [(p,) + fill_slots(slots, theta) for p, slots in schema.ante]
-                distinct = len(set(objs)) == len(objs)
-                kept = False
-                for value, values, alpha in schema.cells:
-                    if schema.value_vars:
-                        value, values = _fill_values(schema.value_vars, value, values, theta)
-                    if not distinct and len(set(zip(objs, values))) != len(set(objs)):
-                        continue  # incoherent: two values for one object; it can never hold
-                    gs = GroundSentence((obj, value), frozenset(zip(objs, values)), alpha)
-                    out[DischargedInstance(gs, context)] = None
-                    kept = True
-                if kept:
-                    for o in objs:
-                        if o not in seen:
-                            seen.add(o)
-                            stack.append(o)
-    return list(out)
+                objs = tuple((p,) + fill_slots(slots, theta) for p, slots in schema.ante)
+                parents = objs if len(objs) < 2 else tuple(sorted(set(objs), key=obj_sort_key))
+                cells = schema.cells  # shared, and read only, when already aligned with parents
+                if schema.value_vars or parents != objs:
+                    cells = _ground_cells(schema, theta, objs, parents)
+                    if not cells:
+                        continue
+                out.append((obj, parents, context, cells))
+                for o in parents:
+                    if o not in seen:
+                        seen.add(o)
+                        stack.append(o)
+    return out
+
+
+def _ground_cells(schema, theta, objs, parents):
+    """A grounding's coherent cells, their antecedent values aligned with ``parents``."""
+    at = [objs.index(o) for o in parents]  # each parent's first antecedent position
+    repeats = [(i, j) for i, j in enumerate(map(objs.index, objs)) if i != j]
+    cells = []
+    for value, values, alpha in schema.cells:
+        if schema.value_vars:
+            value, values = _fill_values(schema.value_vars, value, values, theta)
+        if any(values[i] != values[j] for i, j in repeats):
+            continue  # incoherent: two values for one object; it can never hold
+        cells.append((value, tuple(values[i] for i in at), alpha))
+    return cells
 
 
 def _schema_typing(kb: KnowledgeBase, schema, lo: int, hi: int):
@@ -182,31 +187,27 @@ def _fill_values(value_vars, value, values, theta):
     return value, tuple(theta[n] if n else v for n, v in zip(ante_vars, values))
 
 
-def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None):
-    return {d.sentence for d in discharge_contexts_detailed(kb, session, demand)}
-
-
 # ---------------------------------------------------------------------------
 # Relevant atom set (least fixpoint, object level)
 
 
-def compute_ras(kb: KnowledgeBase, sentences, session: ValidatedSession) -> RelevantAtomSet:
-    """Evidence objects, then every consequent whose antecedent objects are all relevant.
+def compute_ras(kb: KnowledgeBase, records, session: ValidatedSession) -> RelevantAtomSet:
+    """Evidence objects, then every record's object once all its parents are relevant.
 
-    A worklist: sentences are grouped by their set of antecedent objects, and
-    each group counts the objects in that set that are not yet relevant and
-    waits on them; it releases its consequents when the count reaches zero.
+    A worklist: records are grouped by their parents, and each group counts
+    its parents that are not yet relevant and waits on them; it releases its
+    objects when the count reaches zero.
     """
     objs = set(session.evidence)
-    by_ante: dict = {}  # antecedent objects -> consequent objects
-    for s in sentences:
-        by_ante.setdefault(frozenset(o for o, _ in s.ante), set()).add(s.cons[0])
-    unmet = []  # per waiting group, its count of antecedent objects not yet relevant
-    released = []  # per waiting group, its consequent objects
+    by_ante: dict = {}  # parents -> objects
+    for obj, parents, _, _ in records:
+        by_ante.setdefault(parents, set()).add(obj)
+    unmet = []  # per waiting group, its count of parents not yet relevant
+    released = []  # per waiting group, its objects
     waiting = defaultdict(list)  # object -> indices of the groups waiting on it
     ready = []
     for ante, conss in by_ante.items():
-        blockers = ante - objs
+        blockers = [o for o in ante if o not in objs]
         if not blockers:
             ready.extend(conss)
             continue
@@ -226,76 +227,77 @@ def compute_ras(kb: KnowledgeBase, sentences, session: ValidatedSession) -> Rele
     return RelevantAtomSet(frozenset(objs), session.lo, session.hi)
 
 
-def restrict_rpb(sentences, ras: RelevantAtomSet):
-    """Keep only sentences whose consequent and antecedents are all relevant."""
-    return {
-        s
-        for s in sentences
-        if s.cons[0] in ras.objs and all(o in ras.objs for o, _ in s.ante)
-    }
-
-
 # ---------------------------------------------------------------------------
 # Combining
 
 
-def combine_rpb(rpb, kb: KnowledgeBase, registry: RuleRegistry = None) -> CombinedBase:
-    registry = registry or builtin_registry()
+def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBase:
+    """One table per object of the records whose object and parents are all relevant.
+
+    The cells of one parent tuple and one parent assignment form a rule
+    group; where several groups cover a row, the object's combining rule
+    merges their distributions.
+    """
+    relevant = ras.objs
     by_obj: dict = {}
-    for s in rpb:
-        by_obj.setdefault(s.cons[0], []).append(s)
+    for rec in records:
+        if rec[0] in relevant and relevant.issuperset(rec[1]):
+            by_obj.setdefault(rec[0], []).append(rec)
 
     base = CombinedBase()
     for obj in sorted(by_obj, key=obj_sort_key):
-        sentences = by_obj[obj]
+        recs = by_obj[obj]
         values = kb.val(obj[0])
         rule_name, params = kb.combining_rule_for(obj[0])
-        rule = registry.resolve(rule_name)
+        rule = combining.rule(rule_name)
 
-        # rule groups: one candidate mechanism per (antecedent objects, value assignment)
+        # rule groups: one cause per (parent objects, parent values)
         groups: dict = {}
-        for s in sentences:
-            objset = tuple(sorted((o for o, _ in s.ante), key=obj_sort_key))
-            assignment = tuple(v for o, v in sorted(s.ante, key=lambda p: obj_sort_key(p[0])))
-            cell = groups.setdefault((objset, assignment), {})
-            if cell.setdefault(s.cons[1], s.alpha) != s.alpha:
-                raise _first_conflict(sentences)
+        for _, parents, _, cells in recs:
+            for value, us, alpha in cells:
+                cell = groups.setdefault((parents, us), {})
+                if cell.setdefault(value, alpha) != alpha:
+                    raise _first_conflict(obj, recs)
 
-        cause_sets = sorted({objset for objset, _ in groups}, key=str)
-        parents = tuple(sorted({o for objset in cause_sets for o in objset}, key=obj_sort_key))
+        cause_sets = sorted({ps for ps, _ in groups}, key=str)
+        parents = tuple(sorted({o for ps in cause_sets for o in ps}, key=obj_sort_key))
         parent_pos = {o: i for i, o in enumerate(parents)}
+        at = [(ps, [parent_pos[o] for o in ps]) for ps in cause_sets]
 
         table = ObjTable(obj, values, parents)
         for combo in itertools.product(*(kb.val(p[0]) for p in parents)):
-            mechanisms = []
+            dists = []
             cell_missing = []
-            for objset in cause_sets:
-                u = tuple(combo[parent_pos[o]] for o in objset)
-                cell = groups.get((objset, u))
+            for ps, idx in at:
+                cell = groups.get((ps, tuple(combo[i] for i in idx)))
                 if cell is None:
                     continue  # this cause does not cover the assignment
                 missing_vals = [v for v in values if v not in cell]
                 if missing_vals:
                     cell_missing.extend((combo, v) for v in missing_vals)
                     continue
-                dist = tuple(cell[v] for v in values)
-                mechanisms.append(CauseMechanism(frozenset(zip(objset, u)), dist))
+                dists.append(tuple(cell[v] for v in values))
             if cell_missing:
                 table.rows[combo] = None
                 table.missing.extend(cell_missing)
-            elif not mechanisms:
+            elif not dists:
                 table.rows[combo] = None
                 table.missing.append((combo, None))
-            elif len(mechanisms) == 1:
-                table.rows[combo] = mechanisms[0].distribution
+            elif len(dists) == 1:
+                table.rows[combo] = dists[0]
             else:
-                table.rows[combo] = tuple(rule.apply(obj, mechanisms, values, params))
+                table.rows[combo] = tuple(rule(obj, dists, values, params))
         base.tables[obj] = table
     return base
 
 
-def _first_conflict(sentences) -> ConflictingSentencesError:
+def _first_conflict(obj, records) -> ConflictingSentencesError:
     """The clash met first in text order: two alphas for one consequent and antecedent."""
+    sentences = {
+        GroundSentence((obj, v), frozenset(zip(parents, us)), alpha)
+        for _, parents, _, cells in records
+        for v, us, alpha in cells
+    }
     seen: dict = {}
     for s in sorted(sentences, key=str):
         other = seen.setdefault((s.cons, s.ante), s)
@@ -309,19 +311,17 @@ def _first_conflict(sentences) -> ConflictingSentencesError:
 # Checks: complete quantification and consistency
 
 
-def quantification_gaps(base: CombinedBase, ras: RelevantAtomSet):
+def table_gaps(obj: Obj, table) -> list:
+    """(obj, detail) for each gap of ``obj``'s table, or for the table itself when it is None."""
+    if table is None:
+        return [(obj, "no applicable sentence inside the session window")]
     gaps = []
-    for obj in sorted(ras.objs, key=obj_sort_key):
-        table = base.tables.get(obj)
-        if table is None:
-            gaps.append((obj, "no sentence has this object in the consequent"))
-            continue
-        for assignment, value in table.missing:
-            at = f"parents {dict(zip(table.parents, assignment))}" if table.parents else "marginal"
-            if value is None:
-                gaps.append((obj, f"no applicable sentence at {at}"))
-            else:
-                gaps.append((obj, f"missing value variant {value!r} at {at}"))
+    for assignment, value in table.missing:
+        at = f"parents {dict(zip(table.parents, assignment))}" if table.parents else "marginal"
+        if value is None:
+            gaps.append((obj, f"no applicable sentence at {at}"))
+        else:
+            gaps.append((obj, f"missing value variant {value!r} at {at}"))
     return gaps
 
 
@@ -355,14 +355,12 @@ def check_consistency(base: CombinedBase):
         raise ConsistencyError(violations)
 
 
-def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, registry=None, demand=None):
-    """Run the whole relevance pipeline; returns (combined base, ras, discharged).
+def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, demand=None):
+    """Run the whole relevance pipeline; returns (combined base, ras, discharged records).
 
     With a ``demand`` of ground objects, only those objects and their
     ancestors are discharged, and the base holds exactly their tables.
     """
-    discharged = discharge_contexts(kb, session, demand)
-    ras = compute_ras(kb, discharged, session)
-    rpb = restrict_rpb(discharged, ras)
-    base = combine_rpb(rpb, kb, registry)
-    return base, ras, discharged
+    records = discharge_contexts(kb, session, demand)
+    ras = compute_ras(kb, records, session)
+    return combine_rpb(records, kb, ras), ras, records

@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 
 from ctxkb import (
     SessionInput,
+    combining,
     discharge_contexts,
     load_kb,
     parse_atom,
     parse_kb,
     validate_session,
 )
-from ctxkb.lang import obj_of, val_of
+from ctxkb.errors import ConflictingSentencesError
+from ctxkb.lang import obj_of, obj_sort_key, val_of
 from ctxkb.logic import _Solver, apply_subst, catom_key, ground_context_program, groundings
 from ctxkb.parser import parse_atoms
-from ctxkb.relevance import GroundSentence
+from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
 
 
 def data_path(name: str) -> str:
@@ -304,9 +306,18 @@ def timed_kbs(draw):
     return "\n".join(lines) + "\n", session, dup
 
 
+def ground_sentences(records):
+    """The flat view of discharge records: one ``GroundSentence`` per cell."""
+    return {
+        GroundSentence((obj, v), frozenset(zip(parents, us)), alpha)
+        for obj, parents, _, cells in records
+        for v, us, alpha in cells
+    }
+
+
 def naive_ras_objs(kb, session):
     """Independent atom-level relevant-set fixpoint, for cross-checking."""
-    discharged = discharge_contexts(kb, session)
+    discharged = ground_sentences(discharge_contexts(kb, session))
     atoms = set()
     for o in session.evidence:
         for v in kb.val(o[0]):
@@ -344,3 +355,83 @@ def forward_discharge(kb, session):
                 g = apply_subst(s.cons, theta)
                 out.add(GroundSentence((obj_of(g), val_of(g)), frozenset(ante.items()), s.alpha))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sentence-based combining, as ctxkb did it before discharge produced records:
+# a reference for ``relevance.combine_rpb``.
+
+
+def reference_restrict_rpb(sentences, ras):
+    """Keep only sentences whose consequent and antecedents are all relevant."""
+    return {
+        s
+        for s in sentences
+        if s.cons[0] in ras.objs and all(o in ras.objs for o, _ in s.ante)
+    }
+
+
+def reference_combine(sentences, kb, ras):
+    """Restrict ground sentences to ``ras``, then regroup them per value into tables."""
+    rpb = reference_restrict_rpb(sentences, ras)
+    by_obj: dict = {}
+    for s in rpb:
+        by_obj.setdefault(s.cons[0], []).append(s)
+
+    base = CombinedBase()
+    for obj in sorted(by_obj, key=obj_sort_key):
+        sentences = by_obj[obj]
+        values = kb.val(obj[0])
+        rule_name, params = kb.combining_rule_for(obj[0])
+        rule = combining.rule(rule_name)
+
+        # rule groups: one candidate mechanism per (antecedent objects, value assignment)
+        groups: dict = {}
+        for s in sentences:
+            objset = tuple(sorted((o for o, _ in s.ante), key=obj_sort_key))
+            assignment = tuple(v for o, v in sorted(s.ante, key=lambda p: obj_sort_key(p[0])))
+            cell = groups.setdefault((objset, assignment), {})
+            if cell.setdefault(s.cons[1], s.alpha) != s.alpha:
+                raise _reference_first_conflict(sentences)
+
+        cause_sets = sorted({objset for objset, _ in groups}, key=str)
+        parents = tuple(sorted({o for objset in cause_sets for o in objset}, key=obj_sort_key))
+        parent_pos = {o: i for i, o in enumerate(parents)}
+
+        table = ObjTable(obj, values, parents)
+        for combo in itertools.product(*(kb.val(p[0]) for p in parents)):
+            mechanisms = []
+            cell_missing = []
+            for objset in cause_sets:
+                u = tuple(combo[parent_pos[o]] for o in objset)
+                cell = groups.get((objset, u))
+                if cell is None:
+                    continue  # this cause does not cover the assignment
+                missing_vals = [v for v in values if v not in cell]
+                if missing_vals:
+                    cell_missing.extend((combo, v) for v in missing_vals)
+                    continue
+                mechanisms.append(tuple(cell[v] for v in values))
+            if cell_missing:
+                table.rows[combo] = None
+                table.missing.extend(cell_missing)
+            elif not mechanisms:
+                table.rows[combo] = None
+                table.missing.append((combo, None))
+            elif len(mechanisms) == 1:
+                table.rows[combo] = mechanisms[0]
+            else:
+                table.rows[combo] = tuple(rule(obj, mechanisms, values, params))
+        base.tables[obj] = table
+    return base
+
+
+def _reference_first_conflict(sentences):
+    """The clash met first in text order: two alphas for one consequent and antecedent."""
+    seen: dict = {}
+    for s in sorted(sentences, key=str):
+        other = seen.setdefault((s.cons, s.ante), s)
+        if other.alpha != s.alpha:
+            return ConflictingSentencesError(
+                f"conflicting sentences for {s}: alpha {other.alpha} vs {s.alpha}"
+            )

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ctxkb import (
-    CauseMechanism,
     CycleError,
     GroundSentence,
     SessionError,
@@ -26,7 +25,7 @@ from ctxkb.bench import compare_encodings, paint_pair
 from ctxkb.errors import OutOfBoundsSupportError
 from ctxkb.relevance import build_combined_base
 
-from conftest import naive_ras_objs, random_kb, session_for
+from conftest import ground_sentences, naive_ras_objs, random_kb, session_for
 
 N_CORPUS = 220
 
@@ -74,13 +73,11 @@ def test_criterion_2_completeness(corpus_results):
 
 
 def test_criterion_3_context_conditioning(cardiac_kb):
-    from ctxkb.relevance import discharge_contexts_detailed
-
     vs = session_for(
         cardiac_kb, context="no_inter(john, 1). epi(john, 1).", lo=1, hi=2
     )
-    detailed = discharge_contexts_detailed(cardiac_kb, vs)
-    sentences = {d.sentence for d in detailed}
+    records = discharge_contexts(cardiac_kb, vs)
+    sentences = ground_sentences(records)
     want = GroundSentence(
         (("rhythm", "john", 2), "nsr"),
         frozenset({(("rhythm", "john", 1), "nsr")}),
@@ -88,7 +85,7 @@ def test_criterion_3_context_conditioning(cardiac_kb):
     )
     assert want in sentences
     assert not any(
-        (True, ("dfib", "john", 1)) in d.context for d in detailed
+        (True, ("dfib", "john", 1)) in context for _, _, context, _ in records
     )
     print("criterion 3 PASS: context-selected sentence present, dfib-guarded absent")
 
@@ -98,7 +95,7 @@ def test_criterion_4_independence(cardiac_kb):
     vs = session_for(cardiac_kb, lo=0, hi=3)
     base, ras, _ = build_combined_base(cardiac_kb, vs)
     objs = [("rhythm", "john", t) for t in range(4)]
-    joint = enumerate_joint(base, objs=objs, kb=cardiac_kb)
+    joint = enumerate_joint(base, objs=objs)
     r1, r2, r3 = objs[1], objs[2], objs[3]
     values = cardiac_kb.val("rhythm")
     worst = 0.0
@@ -186,7 +183,7 @@ def test_criterion_7_combining_rule_exhaustive():
             # brute force: each mechanism draws independently; result = max index
             got = np.empty((len(combos), k))
             for ci, combo in enumerate(combos):
-                mechs = [CauseMechanism(frozenset(), rows[i]) for i in combo]
+                mechs = [rows[i] for i in combo]
                 got[ci] = noisy_max(None, mechs, values)
             want = np.zeros((len(combos), k))
             sel = dists[np.array(combos)]  # (N, m, k)

@@ -100,6 +100,47 @@ def test_check_bad_row_sum_exit_4(runner, tmp_path):
     assert "sums to" in r.output
 
 
+GAP_KB = "value p = { no, yes }.\nvalue q = { no, yes }.\npred p(time).\npred q(time).\n"
+
+
+@pytest.mark.parametrize(
+    "sentences, line",
+    [
+        ("prob p(0, yes) = 0.3.\n",
+         "incompletely quantified: ('p', 0): missing value variant 'no' at marginal"),
+        ("prob q(0, no) = 0.5.\nprob q(0, yes) = 0.5.\n"
+         "prob p(0, no) | q(0, yes) = 0.7.\nprob p(0, yes) | q(0, yes) = 0.3.\n",
+         "incompletely quantified: ('p', 0): no applicable sentence at parents {('q', 0): 'no'}"),
+    ],
+)
+def test_query_table_gap_is_one_readable_line_exit_4(runner, tmp_path, sentences, line):
+    kb = tmp_path / "gap.ckb"
+    kb.write_text(GAP_KB + sentences)
+    r = runner.invoke(main, ["query", str(kb), "--query", "p(0, V)"])
+    assert r.exit_code == 4
+    assert r.output == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "combine, line",
+    [
+        ("combine p with noisy_maxx.", "3:16: error: unknown combining rule 'noisy_maxx'"),
+        ("combine p with noisy_max(distinguised=yes).",
+         "3:26: error: combining rule noisy_max has no parameter 'distinguised'"),
+        ("combine p with single_only(distinguished=yes).",
+         "3:28: error: combining rule single_only has no parameter 'distinguished'"),
+    ],
+)
+def test_check_bad_combining_rule_is_a_located_parse_error_exit_1(runner, tmp_path, combine, line):
+    kb = tmp_path / "rule.ckb"
+    kb.write_text(f"value p = {{ no, yes }}.\npred p(time).\n{combine}\n"
+                  "prob p(0, yes) = 0.3.\nprob p(0, no) = 0.7.\n")
+    for command in (["check", str(kb)], ["query", str(kb), "--query", "p(0, V)"]):
+        r = runner.invoke(main, command)
+        assert r.exit_code == 1
+        assert r.output == f"{kb}:{line}\n"
+
+
 def test_query_table_and_json_agree(runner, cardiac):
     args = [
         "query", cardiac["kb"],

@@ -11,9 +11,9 @@ from ctxkb.errors import ConflictingSentencesError, OutOfBoundsSupportError, Qua
 from ctxkb.lang import Atom, Var
 from ctxkb.logic import ancestors, check_acyclic_pb
 from ctxkb.netbuild import assemble_net, node_label, query_instances
-from ctxkb.relevance import build_combined_base
+from ctxkb.relevance import build_combined_base, combine_rpb, compute_ras
 
-from conftest import forward_discharge, random_kb, session_for, timed_kbs
+from conftest import forward_discharge, ground_sentences, random_kb, reference_combine, session_for, timed_kbs
 
 
 def test_network_is_backward_closure_only(cardiac_kb):
@@ -157,12 +157,33 @@ def _same_instances(kb, vs):
     """The walk discharges exactly the forward instances whose consequent the demand reaches."""
     demand = {o for _, o in query_instances(kb, vs.query, vs.lo, vs.hi)} | set(vs.evidence)
     full = forward_discharge(kb, vs)
-    assert discharge_contexts(kb, vs) == full
+    assert ground_sentences(discharge_contexts(kb, vs)) == full
     parents: dict = {}
     for s in full:
         parents.setdefault(s.cons[0], set()).update(o for o, _ in s.ante)
     reach = ancestors(parents, demand)
-    assert discharge_contexts(kb, vs, demand) == {s for s in full if s.cons[0] in reach}
+    assert ground_sentences(discharge_contexts(kb, vs, demand)) == {s for s in full if s.cons[0] in reach}
+    _same_combine(kb, vs)
+    _same_combine(kb, vs, demand)
+
+
+def _same_combine(kb, vs, demand=None):
+    """Combining the records gives the tables, or the clash, of the sentence-based reference."""
+    records = discharge_contexts(kb, vs, demand)
+    ras = compute_ras(kb, records, vs)
+    try:
+        want = reference_combine(ground_sentences(records), kb, ras)
+    except ConflictingSentencesError as e:
+        with pytest.raises(ConflictingSentencesError) as got:
+            combine_rpb(records, kb, ras)
+        assert str(got.value) == str(e)
+        return
+    got = combine_rpb(records, kb, ras)
+    assert list(got.tables) == list(want.tables)
+    for o, t in want.tables.items():
+        g = got.tables[o]
+        assert (g.values, g.parents, g.missing) == (t.values, t.parents, t.missing)
+        assert list(g.rows.items()) == list(t.rows.items())
 
 
 def test_demand_walk_matches_full_base_on_random_corpus():
@@ -246,3 +267,4 @@ def test_timed_corpus(case):
         build_net(clash, at0)
     with pytest.raises(ConflictingSentencesError):
         build_combined_base(clash, at0)
+    _same_combine(clash, at0)

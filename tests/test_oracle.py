@@ -6,6 +6,7 @@ import pytest
 
 from ctxkb import (
     SessionInput,
+    answer_query,
     build_net,
     conditional,
     enumerate_joint,
@@ -14,7 +15,7 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
-from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError
+from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError, QuantificationError
 from ctxkb.logic import ancestors, topo_order
 from ctxkb.netbuild import query_instances
 from ctxkb.oracle import satisfaction_gap
@@ -51,7 +52,7 @@ def chain_base(chain_kb):
 
 def test_enumerate_joint_models(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras, chain_kb)
+    joint = enumerate_joint(base, ras)
     assert joint.total() == pytest.approx(1.0, abs=1e-12)
     assert len(joint.models) == 4
     probs = {m: p for m, p in joint.models}
@@ -64,21 +65,21 @@ def test_enumerate_joint_models(chain_kb, chain_base):
 
 def test_conditional_from_joint(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras, chain_kb)
+    joint = enumerate_joint(base, ras)
     vec = conditional(joint, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     assert vec.probabilities[1] == pytest.approx(0.32 / 0.44, abs=1e-12)
 
 
 def test_joint_satisfies_all_sentences(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras, chain_kb)
+    joint = enumerate_joint(base, ras)
     assert satisfaction_gap(joint, base) <= 1e-12
 
 
 def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
     base, ras = chain_base
-    full = enumerate_joint(base, ras, chain_kb)
-    clamped = enumerate_joint(base, ras, chain_kb, evidence={("q", "a"): "yes"})
+    full = enumerate_joint(base, ras)
+    clamped = enumerate_joint(base, ras, evidence={("q", "a"): "yes"})
     assert clamped.total() == pytest.approx(full.prob({("q", "a"): "yes"}), abs=1e-12)
     v1 = conditional(full, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     v2 = conditional(clamped, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
@@ -87,8 +88,8 @@ def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
 
 def test_zero_probability_evidence_raises(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras, chain_kb)
-    bad = enumerate_joint(base, ras, chain_kb, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
+    joint = enumerate_joint(base, ras)
+    bad = enumerate_joint(base, ras, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
     with pytest.raises(ImpossibleEvidenceError):
         # impossible combination is simulated by asking for mass that is absent
         conditional(joint, ("p", "a"), {("q", "a"): "missing-value"}, chain_kb)
@@ -228,3 +229,49 @@ def test_enumeration_matches_recursive_reference(cardiac_kb):
             assert joint.models == models
             with pytest.raises(EnumerationGuardError):
                 enumerate_joint(base, objs=objs, guard=work - 1, evidence=vs.evidence)
+
+
+def test_evidence_without_a_table_is_a_quantification_error_as_in_answer_query():
+    kb = parse_kb(
+        """
+        domain d = { a }.
+        value p = { no, yes }.
+        value q = { no, yes }.
+        pred p(d).
+        pred q(d, time).
+        prob p(a, yes) = 0.4.
+        prob p(a, no) = 0.6.
+        """
+    )
+    vs = session_for(kb, evidence="q(a, 0, yes).", query="p(a, V)")
+    want = "incompletely quantified: ('q', 'a', 0): no applicable sentence inside the session window"
+    with pytest.raises(QuantificationError) as oracle:
+        oracle_answer(kb, vs)
+    assert str(oracle.value) == want
+    assert oracle.value.exit_code == 4
+    with pytest.raises(QuantificationError) as ve:
+        answer_query(kb, vs)
+    assert str(ve.value) == want
+
+
+def test_row_gap_is_a_quantification_error_as_in_answer_query():
+    kb = parse_kb(
+        """
+        value p = { no, yes }.
+        value q = { no, yes }.
+        pred p(time).
+        pred q(time).
+        prob q(0, no) = 0.5.
+        prob q(0, yes) = 0.5.
+        prob p(0, no) | q(0, yes) = 0.7.
+        prob p(0, yes) | q(0, yes) = 0.3.
+        """
+    )
+    vs = session_for(kb, query="p(0, V)")
+    want = "incompletely quantified: ('p', 0): no applicable sentence at parents {('q', 0): 'no'}"
+    with pytest.raises(QuantificationError) as oracle:
+        oracle_answer(kb, vs)
+    assert str(oracle.value) == want
+    with pytest.raises(QuantificationError) as ve:
+        answer_query(kb, vs)
+    assert str(ve.value) == want

@@ -14,15 +14,10 @@ from ctxkb import (
     parse_kb,
 )
 from ctxkb.errors import ConflictingSentencesError, ConsistencyError, QuantificationError
-from ctxkb.relevance import (
-    check_consistency,
-    combine_rpb,
-    discharge_contexts_detailed,
-    quantification_gaps,
-    restrict_rpb,
-)
+from ctxkb.lang import obj_sort_key
+from ctxkb.relevance import check_consistency, table_gaps
 
-from conftest import naive_ras_objs, random_kb, session_for
+from conftest import ground_sentences, naive_ras_objs, random_kb, reference_restrict_rpb, session_for
 
 GUARDED = """
 domain person = { john }.
@@ -57,7 +52,7 @@ def gs(cons, ante, alpha):
 
 def test_discharge_selects_matching_context(kb):
     vs = session_for(kb, lo=0, hi=1)
-    got = discharge_contexts(kb, vs)
+    got = ground_sentences(discharge_contexts(kb, vs))
     # negation-as-failure derives no_inter(john, 0): persistence rules fire
     assert gs((("rhythm", "john", 1), "nsr"), [(("rhythm", "john", 0), "nsr")], 0.9) in got
     # the dfib-guarded variants do not
@@ -66,15 +61,15 @@ def test_discharge_selects_matching_context(kb):
 
 def test_discharge_with_context_fact(kb):
     vs = session_for(kb, context="dfib(john, 0).", lo=0, hi=1)
-    got = discharge_contexts(kb, vs)
+    got = ground_sentences(discharge_contexts(kb, vs))
     assert gs((("rhythm", "john", 1), "nsr"), [(("rhythm", "john", 0), "nsr")], 0.99) in got
     assert gs((("rhythm", "john", 1), "nsr"), [(("rhythm", "john", 0), "nsr")], 0.9) not in got
 
 
 def test_discharge_provenance_records_guard(kb):
     vs = session_for(kb, context="dfib(john, 0).", lo=0, hi=1)
-    detailed = discharge_contexts_detailed(kb, vs)
-    guards = {d.context for d in detailed if d.sentence.cons[0] == ("rhythm", "john", 1)}
+    records = discharge_contexts(kb, vs)
+    guards = {context for obj, _, context, _ in records if obj == ("rhythm", "john", 1)}
     assert all(ctx == ((True, ("dfib", "john", 0)),) for ctx in guards)
 
 
@@ -83,8 +78,11 @@ def test_ras_fixpoint_and_restriction(kb):
     discharged = discharge_contexts(kb, vs)
     ras = compute_ras(kb, discharged, vs)
     assert ras.objs == {("rhythm", "john", 0), ("rhythm", "john", 1), ("rhythm", "john", 2)}
-    rpb = restrict_rpb(discharged, ras)
-    assert rpb == discharged  # everything relevant here
+    sentences = ground_sentences(discharged)
+    rpb = reference_restrict_rpb(sentences, ras)
+    assert rpb == sentences  # everything relevant here
+    # combine_rpb keeps the same records: every record's object and parents are relevant
+    assert all(o in ras.objs and ras.objs.issuperset(ps) for o, ps, _, _ in discharged)
 
 
 def test_ras_is_monotone_in_evidence(kb):
@@ -113,10 +111,8 @@ ras_objects = st.integers(min_value=0, max_value=7).map(lambda i: ("o", i))
     evidence=st.sets(ras_objects, max_size=2),
 )
 def test_ras_worklist_matches_repeat_until_stable(edges, evidence):
-    sentences = {
-        GroundSentence((cons, "v"), frozenset((o, "v") for o in ante), 0.5)
-        for cons, ante in edges
-    }
+    records = [(cons, tuple(sorted(ante)), (), [("v", ("v",) * len(ante), 0.5)]) for cons, ante in edges]
+    sentences = ground_sentences(records)
     session = SimpleNamespace(evidence={o: "v" for o in evidence}, lo=0, hi=0)
     objs = set(evidence)
     changed = True
@@ -126,7 +122,7 @@ def test_ras_worklist_matches_repeat_until_stable(edges, evidence):
             if all(o in objs for o, _ in s.ante) and s.cons[0] not in objs:
                 objs.add(s.cons[0])
                 changed = True
-    assert compute_ras(None, sentences, session).objs == objs
+    assert compute_ras(None, records, session).objs == objs
 
 
 def test_combined_base_rows_normalized(kb):
@@ -210,7 +206,7 @@ def test_quantification_gap_reported():
     # and its incomplete value coverage must surface as a gap
     vs = session_for(kb, lo=0, hi=0)
     base, ras, _ = build_combined_base(kb, vs)
-    gaps = quantification_gaps(base, ras)
+    gaps = [gap for o in sorted(ras.objs, key=obj_sort_key) for gap in table_gaps(o, base.tables.get(o))]
     assert gaps and gaps[0][0] == ("p", 0)
     assert "missing value variant 'no'" in gaps[0][1]
 
@@ -236,7 +232,7 @@ def test_discharge_is_order_independent(kb):
     kb_rev = parse_kb(text_rev)
     vs = session_for(kb, context="dfib(john, 0).", lo=0, hi=1)
     vs_rev = session_for(kb_rev, context="dfib(john, 0).", lo=0, hi=1)
-    assert discharge_contexts(kb, vs) == discharge_contexts(kb_rev, vs_rev)
+    assert ground_sentences(discharge_contexts(kb, vs)) == ground_sentences(discharge_contexts(kb_rev, vs_rev))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,7 @@ def test_variable_value_slots_discharge_as_forward():
     ]
     vs = session_for(kb, context="keep(a, 1). keep(b, 2). keep(a, 3).", lo=0, hi=3)
     full = forward_discharge(kb, vs)
-    got = discharge_contexts(kb, vs)
+    got = ground_sentences(discharge_contexts(kb, vs))
     assert got == full
     # p(a, t, V) | p(a, t-1, V), p(a, t-1, lo) holds only at V = lo
     at_a = {s for s in got if s.cons[0] == ("p", "a", 2) and len(s.ante) == 1
@@ -309,4 +305,4 @@ def test_variable_value_slots_discharge_as_forward():
         parents.setdefault(s.cons[0], set()).update(o for o, _ in s.ante)
     demand = {("p", "b", 3)}
     want = {s for s in full if s.cons[0] in ancestors(parents, demand)}
-    assert discharge_contexts(kb, vs, demand) == want
+    assert ground_sentences(discharge_contexts(kb, vs, demand)) == want
