@@ -20,7 +20,6 @@ import sys
 
 import click
 
-from .bench import metrics_csv, paint_pair, compare_encodings
 from .errors import CtxkbError
 from .infer import answer_on_net, answer_query
 from .lang import Atom, SessionInput, Var, atom_time, validate_session
@@ -295,6 +294,8 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
               help="Comma-separated action timesteps.")
 def bench(horizon, plan_times):
     """Compare context-indexed actions against the action-as-node encoding (CSV)."""
+    from .bench import compare_encodings, metrics_csv, paint_pair  # here, so no other command loads it
+
     try:
         times = [int(t) for t in plan_times.split(",") if t.strip() != ""]
     except ValueError:

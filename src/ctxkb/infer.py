@@ -1,5 +1,7 @@
 """Exact posterior computation on a supporting network via variable elimination.
 
+Each network node is its object's combined table; ``cpt_factor`` turns it
+into a factor and ``reduce`` slices the evidence out of that factor.
 Factors stay unnormalized until the final division, so a vanishing evidence
 probability is detected rather than silently divided through.  Each factor
 that elimination produces is rescaled by a power of two, carried in the
@@ -33,7 +35,8 @@ from .lang import (
     validate_session,
 )
 from .logic import ancestors
-from .netbuild import BayesNet, NetNode, build_net, query_obj
+from .netbuild import BayesNet, build_net, query_obj
+from .relevance import ObjTable
 
 NORM_TOL = 1e-9
 _NON_NEGATIVE = (0.0).__le__  # false for negative entries and for NaN
@@ -93,56 +96,42 @@ def _sum_takes(cards: tuple, axis: int) -> tuple:
     return tuple(_take(rest, rest_strides, k * strides[axis]) for k in range(cards[axis]))
 
 
-class FactorBuilder:
-    """Builds CPT factors with per-object value index maps."""
+def cpt_factor(kb: KnowledgeBase, table: ObjTable) -> Factor:
+    """The table as a factor over (parents..., obj); rows it lacks stay zero.
 
-    def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
-        self._vindex: dict = {}
+    Every factor entry starts here, and products and sums of non-negative
+    entries stay non-negative, so this is the one place that checks sign.
+    """
+    scope = table.parents + (table.obj,)
+    domains = [kb.val(o[0]) for o in scope]
+    cards = tuple(map(len, domains))
+    if any(map(cards[-1].__ne__, map(len, table.rows.values()))):
+        raise ConsistencyError([f"a row of the table of {table.obj} has the wrong length"])
+    # rows in row-major order of the parents' values, zeros where the table has none
+    zeros = (0.0,) * cards[-1]
+    rows = map(table.rows.get, itertools.product(*domains[:-1]), itertools.repeat(zeros))
+    values = Entries(itertools.chain.from_iterable(rows))
+    if not all(map(_NON_NEGATIVE, values)):
+        raise ConsistencyError([f"factor over {scope} has a negative entry"])
+    return Factor(scope, cards, values)
 
-    def vindex(self, obj: Obj) -> dict:
-        if obj not in self._vindex:
-            self._vindex[obj] = {v: i for i, v in enumerate(self.kb.val(obj[0]))}
-        return self._vindex[obj]
 
-    def card(self, obj: Obj) -> int:
-        return len(self.kb.val(obj[0]))
-
-    def cpt_factor(self, node: NetNode) -> Factor:
-        """The node's CPT as a factor over (parents..., node); rows it lacks stay zero.
-
-        Every factor entry starts here, and products and sums of non-negative
-        entries stay non-negative, so this is the one place that checks sign.
-        """
-        scope = node.parents + (node.obj,)
-        domains = [self.kb.val(o[0]) for o in scope]
-        cards = tuple(map(len, domains))
-        if any(map(cards[-1].__ne__, map(len, node.cpt.values()))):
-            raise ConsistencyError([f"a row of the table of {node.obj} has the wrong length"])
-        # rows in row-major order of the parents' values, zeros where the table has none
-        zeros = (0.0,) * cards[-1]
-        rows = map(node.cpt.get, itertools.product(*domains[:-1]), itertools.repeat(zeros))
-        values = Entries(itertools.chain.from_iterable(rows))
-        if not all(map(_NON_NEGATIVE, values)):
-            raise ConsistencyError([f"factor over {scope} has a negative entry"])
-        return Factor(scope, cards, values)
-
-    def reduce(self, factor: Factor, evidence: dict) -> Factor:
-        """Slice out observed values for scope objects present in evidence."""
-        scope, cards, strides = [], [], []
-        offset = 0
-        for o, c, s in zip(factor.scope, factor.cards, _strides(factor.cards)):
-            if o in evidence:
-                offset += self.vindex(o)[evidence[o]] * s
-            else:
-                scope.append(o)
-                cards.append(c)
-                strides.append(s)
-        if len(scope) == len(factor.scope):
-            return factor
-        cards = tuple(cards)
-        picked = _take(cards, tuple(strides), offset)(factor.values[:])
-        return Factor(tuple(scope), cards, Entries(picked))
+def reduce(kb: KnowledgeBase, factor: Factor, evidence: dict) -> Factor:
+    """Slice out observed values for scope objects present in evidence."""
+    scope, cards, strides = [], [], []
+    offset = 0
+    for o, c, s in zip(factor.scope, factor.cards, _strides(factor.cards)):
+        if o in evidence:
+            offset += kb.val(o[0]).index(evidence[o]) * s
+        else:
+            scope.append(o)
+            cards.append(c)
+            strides.append(s)
+    if len(scope) == len(factor.scope):
+        return factor
+    cards = tuple(cards)
+    picked = _take(cards, tuple(strides), offset)(factor.values[:])
+    return Factor(tuple(scope), cards, Entries(picked))
 
 
 @lru_cache(maxsize=512)
@@ -278,13 +267,12 @@ def eliminate(
     for o in evidence:
         if o not in net.nodes:
             raise CtxkbError(f"evidence object {o} is not in the network")
-    fb = FactorBuilder(kb)
     parents = {o: node.parents for o, node in net.nodes.items()}
     out = {}
     for target in targets:
         relevant = ancestors(parents, set(evidence) | {target})
         factors = [
-            fb.reduce(fb.cpt_factor(net.nodes[o]), evidence)
+            reduce(kb, cpt_factor(kb, net.nodes[o]), evidence)
             for o in sorted(relevant, key=obj_sort_key)
         ]
         keep = [target] if target not in evidence else []
@@ -313,8 +301,9 @@ def eliminate(
         if target in evidence:
             # degenerate: expand the observed target back into a vector
             [mass] = result.values
-            vec = [0.0] * fb.card(target)
-            vec[fb.vindex(target)[evidence[target]]] = mass
+            values = kb.val(target[0])
+            vec = [0.0] * len(values)
+            vec[values.index(evidence[target])] = mass
             result = Factor((target,), (len(vec),), Entries(vec), result.log2_scale)
         out[target] = result
     return out

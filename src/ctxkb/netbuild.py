@@ -2,7 +2,8 @@
 
 The network contains a node for every ground evidence object, every
 answerable ground query instance, and every object that influences one of
-those, with conditional tables taken from the combined relevant base.
+those.  A node is its object's table in the combined relevant base: the
+network shares those tables and copies none.
 Construction chains backwards only; objects that merely depend on the query
 or evidence never enter the network.
 """
@@ -31,20 +32,8 @@ from .relevance import CombinedBase, RelevantAtomSet, _schema_typing, build_comb
 
 
 @dataclass
-class NetNode:
-    obj: Obj
-    values: tuple
-    parents: tuple  # of Obj, sorted
-    cpt: dict  # parent assignment -> tuple of probs over values
-
-    @property
-    def n_entries(self) -> int:
-        return sum(len(r) for r in self.cpt.values())
-
-
-@dataclass
 class BayesNet:
-    nodes: dict = field(default_factory=dict)  # Obj -> NetNode
+    nodes: dict = field(default_factory=dict)  # Obj -> its ObjTable in the combined base
     order: tuple = ()  # topological, parents before children
 
 
@@ -124,14 +113,11 @@ def assemble_net(
 
     order = topo_order({o: base.tables[o].parents for o in reached}, "supporting network")
 
-    nodes = {}
     for obj in order:
         t = obj_time(kb, obj)
         if t is not None and not session.lo <= t <= session.hi:
             raise OutOfBoundsSupportError(obj)
-        table = base.tables[obj]
-        nodes[obj] = NetNode(obj, table.values, table.parents, dict(table.rows))
-    return BayesNet(nodes, tuple(order)), [theta for theta, _ in instances]
+    return BayesNet({o: base.tables[o] for o in order}, tuple(order)), [theta for theta, _ in instances]
 
 
 def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables) -> Obj | None:

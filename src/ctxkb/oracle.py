@@ -164,14 +164,14 @@ def forward_sample(
         node = net.nodes[o]
         k = len(node.values)
         if not node.parents:
-            probs = np.asarray(node.cpt[()])
+            probs = np.asarray(node.rows[()])
             samples[o] = rng.choice(k, size=n, p=probs)
         else:
             # build the row matrix indexed by the mixed-radix parent code
             cards = [len(kb.val(p[0])) for p in node.parents]
             n_rows = int(np.prod(cards))
             rows = np.zeros((n_rows, k))
-            for assignment, row in node.cpt.items():
+            for assignment, row in node.rows.items():
                 code = 0
                 for p, v, c in zip(node.parents, assignment, cards):
                     code = code * c + vindex[p][v]

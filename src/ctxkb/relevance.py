@@ -53,23 +53,26 @@ class RelevantAtomSet:
     """Object-level view of the bounded relevant atom set (Ext-closed by construction)."""
 
     objs: frozenset  # of Obj
-    lo: int
-    hi: int
 
 
 @dataclass
 class ObjTable:
-    """Combined conditional table of one object: rows indexed by parent values."""
+    """Combined conditional table of one object, and its node in the supporting network.
+
+    ``rows`` holds the complete rows only; ``missing`` is the one record of
+    every gap.  Nothing writes a table after ``combine_rpb`` returns it, so
+    the network shares it as the node's CPT.
+    """
 
     obj: Obj
     values: tuple
     parents: tuple  # of Obj, sorted
-    rows: dict = field(default_factory=dict)  # parent assignment -> tuple of probs | None
+    rows: dict = field(default_factory=dict)  # parent assignment -> tuple of probs over values
     missing: list = field(default_factory=list)  # (assignment, value-or-None)
 
     @property
     def n_entries(self) -> int:
-        return sum(len(r) for r in self.rows.values() if r is not None)
+        return sum(len(r) for r in self.rows.values())
 
 
 @dataclass
@@ -80,8 +83,6 @@ class CombinedBase:
         """Flat ground-sentence view of all complete rows."""
         for table in self.tables.values():
             for assignment, row in sorted(table.rows.items(), key=str):
-                if row is None:
-                    continue
                 ante = frozenset(zip(table.parents, assignment))
                 for v, alpha in zip(table.values, row):
                     yield GroundSentence((table.obj, v), ante, alpha)
@@ -224,7 +225,7 @@ def compute_ras(kb: KnowledgeBase, records, session: ValidatedSession) -> Releva
             unmet[k] -= 1
             if unmet[k] == 0:
                 ready.extend(released[k])
-    return RelevantAtomSet(frozenset(objs), session.lo, session.hi)
+    return RelevantAtomSet(frozenset(objs))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +279,8 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
                     continue
                 dists.append(tuple(cell[v] for v in values))
             if cell_missing:
-                table.rows[combo] = None
                 table.missing.extend(cell_missing)
             elif not dists:
-                table.rows[combo] = None
                 table.missing.append((combo, None))
             elif len(dists) == 1:
                 table.rows[combo] = dists[0]
@@ -336,8 +335,6 @@ def consistency_violations(base: CombinedBase):
     for obj in sorted(base.tables, key=obj_sort_key):
         table = base.tables[obj]
         for assignment, row in sorted(table.rows.items(), key=str):
-            if row is None:
-                continue
             s = sum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 violations.append(

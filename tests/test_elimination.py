@@ -24,17 +24,19 @@ from ctxkb.errors import (
 from ctxkb.infer import (
     Entries,
     Factor,
-    FactorBuilder,
     _rescale,
     answer_on_net,
+    cpt_factor,
     eliminate,
     marginalize,
     min_fill_order,
     multiply,
+    reduce,
 )
 from ctxkb.lang import KnowledgeBase, Obj, obj_sort_key
 from ctxkb.logic import ancestors
-from ctxkb.netbuild import BayesNet, NetNode, query_obj
+from ctxkb.netbuild import BayesNet, query_obj
+from ctxkb.relevance import ObjTable
 
 from conftest import session_for, timed_kbs
 
@@ -74,11 +76,10 @@ def reference_min_fill_order(scopes, keep):
 
 def elimination_scopes(kb, net, evidence, target):
     """The factor scopes that ``eliminate`` hands to ``min_fill_order`` for one target."""
-    fb = FactorBuilder(kb)
     parents = {o: node.parents for o, node in net.nodes.items()}
     relevant = ancestors(parents, set(evidence) | {target})
     return [
-        fb.reduce(fb.cpt_factor(net.nodes[o]), evidence).scope
+        reduce(kb, cpt_factor(kb, net.nodes[o]), evidence).scope
         for o in sorted(relevant, key=obj_sort_key)
     ]
 
@@ -128,11 +129,11 @@ class RefFactorBuilder:
     def card(self, obj: Obj) -> int:
         return len(self.kb.val(obj[0]))
 
-    def cpt_factor(self, node: NetNode) -> RefFactor:
+    def cpt_factor(self, node: ObjTable) -> RefFactor:
         scope = node.parents + (node.obj,)
         shape = tuple(self.card(o) for o in scope)
         arr = np.zeros(shape)
-        for assignment, row in node.cpt.items():
+        for assignment, row in node.rows.items():
             idx = tuple(
                 self.vindex(p)[v] for p, v in zip(node.parents, assignment)
             )
@@ -330,11 +331,11 @@ def test_cpt_factor_and_reduce_match_reference(cardiac_kb):
         evidence="rhythm(john, 0, vf). cd(john, 1, none).", lo=0, hi=3, query="cd(john, 3, V)",
     )
     net, _ = build_net(cardiac_kb, vs)
-    fb, rfb = FactorBuilder(cardiac_kb), RefFactorBuilder(cardiac_kb)
+    rfb = RefFactorBuilder(cardiac_kb)
     for node in net.nodes.values():
-        f, rf = fb.cpt_factor(node), rfb.cpt_factor(node)
+        f, rf = cpt_factor(cardiac_kb, node), rfb.cpt_factor(node)
         _same(f, rf)
-        _same(fb.reduce(f, vs.evidence), rfb.reduce(rf, vs.evidence))
+        _same(reduce(cardiac_kb, f, vs.evidence), rfb.reduce(rf, vs.evidence))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -498,14 +499,14 @@ def test_negative_factor_raises_under_optimize():
         "import sys",
         "from ctxkb import parse_kb",
         "from ctxkb.errors import ConsistencyError",
-        "from ctxkb.infer import FactorBuilder",
-        "from ctxkb.netbuild import NetNode",
+        "from ctxkb.infer import cpt_factor",
+        "from ctxkb.relevance import ObjTable",
         "if not sys.flags.optimize:",
         "    sys.exit(3)",
         "kb = parse_kb('value x = { no, yes }.\\npred x(time).\\n')",
-        "node = NetNode(('x', 0), ('no', 'yes'), (), {(): (0.5, -0.5)})",
+        "node = ObjTable(('x', 0), ('no', 'yes'), (), {(): (0.5, -0.5)})",
         "try:",
-        "    FactorBuilder(kb).cpt_factor(node)",
+        "    cpt_factor(kb, node)",
         "except ConsistencyError:",
         "    sys.exit(0)",
         "sys.exit(1)",

@@ -7,11 +7,12 @@ from ctxkb.errors import ImpossibleEvidenceError
 from ctxkb.infer import (
     Entries,
     Factor,
-    FactorBuilder,
     answer_on_net,
+    cpt_factor,
     marginalize,
     min_fill_order,
     multiply,
+    reduce,
 )
 
 from conftest import session_for
@@ -150,9 +151,8 @@ def test_min_fill_prefers_low_fill():
 
 
 def test_reduce_slices_evidence(chain_kb):
-    fb = FactorBuilder(chain_kb)
     net, _ = build_net(chain_kb, session_for(chain_kb, query="q(a, V)"))
-    f = fb.cpt_factor(net.nodes[("q", "a")])
-    r = fb.reduce(f, {("p", "a"): "yes"})
+    f = cpt_factor(chain_kb, net.nodes[("q", "a")])
+    r = reduce(chain_kb, f, {("p", "a"): "yes"})
     assert r.scope == (("q", "a"),)
     assert tuple(r.values) == (0.2, 0.8)

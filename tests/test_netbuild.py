@@ -150,7 +150,7 @@ def _same_net(got, want):
     assert net.nodes.keys() == full.nodes.keys()
     for o, node in net.nodes.items():
         other = full.nodes[o]
-        assert (node.values, node.parents, node.cpt) == (other.values, other.parents, other.cpt)
+        assert (node.values, node.parents, node.rows) == (other.values, other.parents, other.rows)
 
 
 def _same_instances(kb, vs):
@@ -183,7 +183,58 @@ def _same_combine(kb, vs, demand=None):
     for o, t in want.tables.items():
         g = got.tables[o]
         assert (g.values, g.parents, g.missing) == (t.values, t.parents, t.missing)
-        assert list(g.rows.items()) == list(t.rows.items())
+        assert _complete_rows(g) == _complete_rows(t)
+
+
+def _complete_rows(table):
+    """The table's rows in order, without the ``None`` placeholder a gap may leave."""
+    return [(a, row) for a, row in table.rows.items() if row is not None]
+
+
+_GAP_HEAD = """
+value p = { no, yes }.
+value q = { no, yes }.
+value r = { no, yes }.
+pred p(time).
+pred q(time).
+pred r(time).
+prob p(0, yes) = 0.4.
+prob p(0, no) = 0.6.
+prob r(0, yes) = 0.5.
+prob r(0, no) = 0.5.
+"""
+
+ROW_GAP_KBS = {
+    "a cause lacks a value variant": """
+        prob q(0, yes) | p(0, yes) = 1.0.
+        prob q(0, yes) | p(0, no) = 0.3.
+        prob q(0, no) | p(0, no) = 0.7.
+    """,
+    "no cause covers a parent assignment": """
+        prob q(0, yes) | p(0, yes) = 1.0.
+        prob q(0, no) | p(0, yes) = 0.0.
+    """,
+    "one cause is complete and another lacks a value": """
+        combine q with noisy_max.
+        prob q(0, yes) | p(0, yes) = 0.8.
+        prob q(0, no) | p(0, yes) = 0.2.
+        prob q(0, yes) | p(0, no) = 0.1.
+        prob q(0, no) | p(0, no) = 0.9.
+        prob q(0, yes) | r(0, yes) = 0.6.
+        prob q(0, yes) | r(0, no) = 0.2.
+        prob q(0, no) | r(0, no) = 0.8.
+    """,
+}
+
+
+@pytest.mark.parametrize("body", ROW_GAP_KBS.values(), ids=list(ROW_GAP_KBS))
+def test_combine_matches_reference_on_row_gaps(body):
+    kb = parse_kb(_GAP_HEAD + body)
+    vs = session_for(kb, evidence="q(0, yes).", lo=0, hi=0)
+    base, _, _ = build_combined_base(kb, vs)
+    assert base.tables[("q", 0)].missing
+    _same_combine(kb, vs)
+    _same_combine(kb, vs, {("q", 0)})
 
 
 def test_demand_walk_matches_full_base_on_random_corpus():
