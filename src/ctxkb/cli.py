@@ -216,7 +216,7 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     # validated as the user wrote it, so that diagnostics name their query
     s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=base_query)
     session = validate_session(kb, s)
-    tp = kb.decl(base_query.pred).time_position(kb)
+    tp = kb.decl(base_query.pred).time_position()
     if tp is None:
         _fail(1, f"project: query predicate {base_query.pred!r} has no time attribute")
 

@@ -32,24 +32,24 @@ class CtxkbError(Exception):
     exit_code = 1
 
 
-class ParseError(CtxkbError):
-    """Syntax or static-validation failure; carries one or more diagnostics."""
-
-    exit_code = 1
+class DiagnosticError(CtxkbError):
+    """An error that carries one or more diagnostics; its message joins them."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class SessionError(CtxkbError):
+class ParseError(DiagnosticError):
+    """Syntax or static-validation failure."""
+
+    exit_code = 1
+
+
+class SessionError(DiagnosticError):
     """Invalid context/evidence/query/bounds combination."""
 
     exit_code = 1
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 class CycleError(CtxkbError):
@@ -65,14 +65,10 @@ class CycleError(CtxkbError):
         super().__init__(msg)
 
 
-class NotAllowedError(CtxkbError):
+class NotAllowedError(DiagnosticError):
     """A variable cannot be finitely grounded."""
 
     exit_code = 3
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 class ConflictingSentencesError(CtxkbError):

@@ -31,7 +31,6 @@ from .lang import (
     Obj,
     SessionInput,
     ValidatedSession,
-    obj_sort_key,
     validate_session,
 )
 from .logic import ancestors
@@ -209,7 +208,7 @@ def min_fill_order(scopes, keep):
     """Min-fill elimination order with a lexicographic tie-break.
 
     Each step eliminates the object outside ``keep`` whose elimination adds
-    the fewest fill edges, the least ``obj_sort_key`` among ties.  Fill counts
+    the fewest fill edges, the least object among ties.  Fill counts
     sit in a heap and are recomputed only for the eliminated object's
     neighbours and theirs, the only objects whose count can change.
     """
@@ -217,7 +216,6 @@ def min_fill_order(scopes, keep):
     for scope in scopes:
         for o in scope:
             neighbors.setdefault(o, set()).update(p for p in scope if p != o)
-    sort_key = {o: obj_sort_key(o) for o in neighbors}
 
     def fill(o):
         nb = neighbors[o]
@@ -225,11 +223,11 @@ def min_fill_order(scopes, keep):
         return sum(len(nb) - 1 - len(nb & neighbors[a]) for a in nb) // 2
 
     current = {o: fill(o) for o in neighbors if o not in keep}
-    heap = [(f, sort_key[o], o) for o, f in current.items()]
+    heap = [(f, o) for o, f in current.items()]
     heapq.heapify(heap)
     order = []
     while heap:
-        f, _, o = heapq.heappop(heap)
+        f, o = heapq.heappop(heap)
         if current.get(o) != f:
             continue  # already eliminated, or its fill has changed since the push
         del current[o]
@@ -247,7 +245,7 @@ def min_fill_order(scopes, keep):
                 nf = fill(t)
                 if nf != current[t]:
                     current[t] = nf
-                    heapq.heappush(heap, (nf, sort_key[t], t))
+                    heapq.heappush(heap, (nf, t))
     return order
 
 
@@ -273,7 +271,7 @@ def eliminate(
         relevant = ancestors(parents, set(evidence) | {target})
         factors = [
             reduce(kb, cpt_factor(kb, net.nodes[o]), evidence)
-            for o in sorted(relevant, key=obj_sort_key)
+            for o in sorted(relevant)
         ]
         keep = [target] if target not in evidence else []
         if order is None:

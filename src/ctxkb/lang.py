@@ -75,13 +75,6 @@ class Atom:
     def is_ground(self) -> bool:
         return all(isinstance(a, Const) for a in self.args)
 
-    def variables(self) -> Iterator[str]:
-        for a in self.args:
-            if isinstance(a, Var):
-                yield a.name
-            elif isinstance(a, TimeExpr):
-                yield a.var
-
 
 Literal = tuple  # (positive: bool, Atom)
 
@@ -120,7 +113,7 @@ class PredicateDecl:
     def arity(self) -> int:
         return len(self.attribute_domains) + (1 if self.kind == "p" else 0)
 
-    def time_position(self, kb: "KnowledgeBase") -> Optional[int]:
+    def time_position(self) -> Optional[int]:
         for i, d in enumerate(self.attribute_domains):
             if d == TIME_DOMAIN:
                 return i
@@ -142,10 +135,6 @@ class ProbSentence:
         for _, a in self.context:
             yield a
 
-    def variables(self) -> Iterator[str]:
-        for a in self.atoms():
-            yield from a.variables()
-
     def __str__(self) -> str:
         s = f"prob {self.cons}"
         if self.ante:
@@ -165,8 +154,13 @@ def term_slot(term) -> tuple:
     return term.name, 0
 
 
+def atom_slots(atom: Atom) -> tuple:
+    """An atom as slots, its predicate a leading constant, so ``fill_slots`` grounds it whole."""
+    return ((None, atom.pred),) + tuple(map(term_slot, atom.args))
+
+
 def fill_slots(slots, theta) -> tuple:
-    """The ground arguments of slots under ``theta`` (variable name -> value)."""
+    """The ground values of slots under ``theta`` (variable name -> value)."""
     return tuple(x if n is None else theta[n] + x if x else theta[n] for n, x in slots)
 
 
@@ -175,7 +169,8 @@ class Schema:
     """A link matrix: the PB sentences that differ only in their constant values.
 
     The key is the consequent's predicate and object slots, the antecedents'
-    object patterns, the value slots that hold a variable, and the guard.
+    object slots, the value slots that hold a variable, and the guard, each
+    literal a sign and its atom's slots.  Object slots lead with the predicate.
     Each cell is (consequent value, antecedent values, alpha), with None
     where a value slot holds a variable.  The cells are a list, so two
     sentences that give one cell two alphas both stay and combining reports
@@ -184,16 +179,16 @@ class Schema:
 
     pred: str
     cons: tuple  # object slots of the consequent
-    ante: tuple  # per antecedent: (pred, object slots)
+    ante: tuple  # object slots of each antecedent
     value_vars: tuple  # None if no value slot holds a variable, else shaped as a cell's values
-    context: tuple  # per guard literal: (sign, pred, slots)
+    context: tuple  # per guard literal: (sign, slots)
     atoms: tuple  # the atoms of the first sentence; they type every variable of the schema
     cells: list = field(default_factory=list)
 
     def match(self, obj: Obj):
         """Bindings under which the consequent's object is ``obj``, or None; times unbounded."""
         theta: dict = {}
-        for (n, x), c in zip(self.cons, obj[1:]):
+        for (n, x), c in zip(self.cons, obj):
             if n is None:
                 if c != x:
                     return None
@@ -216,10 +211,10 @@ def compile_schemas(pb) -> dict:
             value_vars = (names[0], names[1:])
         key = (
             s.cons.pred,
-            tuple(map(term_slot, s.cons.args[:-1])),
-            tuple((a.pred, tuple(map(term_slot, a.args[:-1]))) for a in s.ante),
+            atom_slots(s.cons)[:-1],
+            tuple(atom_slots(a)[:-1] for a in s.ante),
             value_vars,
-            tuple((sign, a.pred, tuple(map(term_slot, a.args))) for sign, a in s.context),
+            tuple((sign, atom_slots(a)) for sign, a in s.context),
         )
         schema = by_key.get(key)
         if schema is None:
@@ -235,11 +230,6 @@ def compile_schemas(pb) -> dict:
 class ContextClause:
     head: Atom
     body: tuple = ()  # of Literal
-
-    def variables(self) -> Iterator[str]:
-        yield from self.head.variables()
-        for _, a in self.body:
-            yield from a.variables()
 
     def __str__(self) -> str:
         s = f"ctx {self.head}"
@@ -335,21 +325,64 @@ def ext(kb: KnowledgeBase, atom: Atom) -> tuple:
 
 
 def obj_time(kb: KnowledgeBase, obj: Obj) -> Optional[int]:
-    tp = kb.decl(obj[0]).time_position(kb)
+    tp = kb.decl(obj[0]).time_position()
     return None if tp is None else obj[1 + tp]
 
 
 def atom_time(kb: KnowledgeBase, atom: Atom) -> Optional[int]:
     """Time of a ground atom, or None for untimed predicates."""
-    tp = kb.decl(atom.pred).time_position(kb)
+    tp = kb.decl(atom.pred).time_position()
     if tp is None:
         return None
     t = atom.args[tp]
     return t.value if isinstance(t, Const) else None
 
 
-def obj_sort_key(obj: Obj):
-    return tuple(str(c) for c in obj)
+# ---------------------------------------------------------------------------
+# Grounding
+
+
+def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
+    """Every type-consistent binding of the atoms' variables, times in [lo, hi].
+
+    Yields dicts from variable name to plain value.  The names vary in order
+    of first occurrence, the last fastest, each over its domain order or
+    ascending time.  Atoms whose typing leaves some variable no value, or
+    that name a constant time outside the window, yield nothing; atoms
+    without variables yield one empty dict.
+    """
+    ranges = _variable_typing(kb, atoms, lo, hi)
+    if ranges is not None:
+        for combo in itertools.product(*ranges.values()):
+            yield dict(zip(ranges, combo))
+
+
+def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
+    """Map each variable to its finite ground range, or None when one is empty.
+
+    The map is in order of first occurrence.  A time variable ranges over a
+    ``range``, any other over its domain's members.
+    """
+    var_domains: dict = {}
+    offsets: dict = {}
+    for atom in atoms:
+        for i, (name, x) in enumerate(map(term_slot, atom.args)):
+            dom = kb.domain_of_position(atom.pred, i)
+            if dom.name != TIME_DOMAIN:
+                if name is not None:
+                    var_domains.setdefault(name, dom.members)
+            elif name is None:
+                if not lo <= x <= hi:
+                    return None  # constant time outside the window
+            else:
+                var_domains.setdefault(name, None)  # holds its place; the range is set below
+                offsets.setdefault(name, set()).add(x)
+    for name, offs in offsets.items():
+        # every occurrence t+off must land inside [lo, hi]
+        var_domains[name] = range(max(lo - off for off in offs), min(hi - off for off in offs) + 1)
+    if not all(var_domains.values()):
+        return None
+    return var_domains
 
 
 # ---------------------------------------------------------------------------
@@ -374,37 +407,6 @@ class ValidatedSession:
     lo: int
     hi: int
     query: Optional[Atom]
-
-
-def ground_instances(kb: KnowledgeBase, atom: Atom, lo: int, hi: int) -> Iterator[Atom]:
-    """All type-consistent groundings of an atom with times in [lo, hi]."""
-    choices = []
-    for i, term in enumerate(atom.args):
-        dom = kb.domain_of_position(atom.pred, i)
-        if isinstance(term, Const):
-            choices.append((term,))
-        elif dom.name == TIME_DOMAIN:
-            if isinstance(term, TimeExpr):
-                rng = range(lo - term.offset, hi - term.offset + 1)
-                choices.append(tuple(Const(t + term.offset) for t in rng))
-            else:
-                choices.append(tuple(Const(t) for t in range(lo, hi + 1)))
-        else:
-            choices.append(tuple(Const(m) for m in dom.members))
-    var_slots = []
-    for i, term in enumerate(atom.args):
-        if isinstance(term, Var):
-            var_slots.append((i, term.name))
-    for combo in itertools.product(*choices):
-        bind: dict = {}
-        ok = True
-        for i, name in var_slots:
-            if name in bind and bind[name] != combo[i].value:
-                ok = False
-                break
-            bind[name] = combo[i].value
-        if ok:
-            yield Atom(atom.pred, combo)
 
 
 def validate_session(kb: KnowledgeBase, s: SessionInput) -> ValidatedSession:
@@ -433,16 +435,20 @@ def validate_session(kb: KnowledgeBase, s: SessionInput) -> ValidatedSession:
         if a.pred not in kb.preds or kb.decl(a.pred).kind != "p":
             diags.append(Diagnostic(f"evidence atom {a} is not a declared p-atom"))
             continue
-        for g in ground_instances(kb, a, s.lo, s.hi):
-            t = atom_time(kb, g)
-            if t is not None and not (s.lo <= t <= s.hi):
-                diags.append(Diagnostic(f"evidence atom {g} timed outside [{s.lo}, {s.hi}]"))
+        # a constant time outside the window still grounds, to name each instance it rules out
+        t = atom_time(kb, a)
+        outside = t is not None and not s.lo <= t <= s.hi
+        slots = atom_slots(a)
+        for theta in groundings(kb, [a], t if outside else s.lo, t if outside else s.hi):
+            g = fill_slots(slots, theta)
+            o, v = g[:-1], g[-1]
+            if outside:
+                diags.append(Diagnostic(f"evidence atom {atom_of(o, v)} timed outside [{s.lo}, {s.hi}]"))
                 continue
-            o, v = obj_of(g), val_of(g)
             if o in evidence and evidence[o] != v:
                 diags.append(
                     Diagnostic(
-                        f"incoherent evidence: {atom_of(o, evidence[o])} and {g} "
+                        f"incoherent evidence: {atom_of(o, evidence[o])} and {atom_of(o, v)} "
                         "assign two values to one object"
                     )
                 )
@@ -455,11 +461,8 @@ def validate_session(kb: KnowledgeBase, s: SessionInput) -> ValidatedSession:
         else:
             if not isinstance(q.args[-1], Var):
                 diags.append(Diagnostic(f"query {q}: last argument must be a variable"))
-            t_arg = None
-            tp = kb.decl(q.pred).time_position(kb)
-            if tp is not None:
-                t_arg = q.args[tp]
-            if isinstance(t_arg, Const) and not (s.lo <= t_arg.value <= s.hi):
+            t = atom_time(kb, q)
+            if t is not None and not (s.lo <= t <= s.hi):
                 diags.append(Diagnostic(f"query {q} timed outside [{s.lo}, {s.hi}]"))
 
     if diags:

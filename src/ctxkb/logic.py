@@ -1,13 +1,16 @@
-"""Substitutions, unification, grounding, SLDNF and dependency graphs.
+"""Unification, the ground context program, SLDNF and dependency graphs.
 
 The context base is an acyclic normal logic program evaluated under Clark's
 completion semantics.  Because sessions confine time to a finite window and
-all attribute domains are finite, the program is grounded up front by
-``groundings``, the one typed-grounding routine; goal evaluation then walks
-an explicit proof stack over ground clauses, with negation as (finite)
-failure.  On an acyclic ground program this computes exactly the unique
-supported model of the completion.  ``topo_order`` and ``ancestors`` are the
-graph walks every later stage shares.
+all attribute domains are finite, the program is grounded up front through
+``lang.groundings``, the one grounding routine of every stage: it binds
+variables to plain values, and ``lang.fill_slots`` turns each clause atom
+into a ground tuple.  Goal evaluation then walks an explicit proof stack over
+ground clauses, with negation as (finite) failure.  On an acyclic ground
+program this computes exactly the unique supported model of the completion.
+``unify`` and ``apply_subst`` work on ``Const`` terms; they serve
+``sldnf_solve``, whose substitutions keep that form.  ``topo_order`` and
+``ancestors`` are the graph walks every later stage shares.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from .lang import (
     KnowledgeBase,
     TimeExpr,
     Var,
+    _variable_typing,
+    atom_slots,
     fill_slots,
-    obj_sort_key,
+    groundings,
+    term_slot,
 )
 
 # ---------------------------------------------------------------------------
@@ -115,58 +121,7 @@ def _bind(name: str, term):
 
 
 # ---------------------------------------------------------------------------
-# Grounding
-
-
-def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
-    """Every type-consistent substitution of the atoms' variables, times in [lo, hi].
-
-    Yields dicts from variable name to ``Const``; the names vary in sorted
-    order, each over its domain order or ascending time.  Atoms whose typing
-    leaves some variable no value, or that name a constant time outside the
-    window, yield nothing; atoms without variables yield one empty dict.
-    """
-    var_domains = _variable_typing(kb, atoms, lo, hi)
-    if var_domains is None:
-        return
-    names = sorted(var_domains)
-    for combo in itertools.product(*(var_domains[n] for n in names)):
-        yield {n: Const(v) for n, v in zip(names, combo)}
-
-
-def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
-    """Map each variable to its finite ground range, or None when empty.
-
-    A time variable ranges over a ``range``, any other over its domain's members.
-    """
-    var_domains: dict = {}
-    offsets: dict = {}
-    for atom in atoms:
-        for i, term in enumerate(atom.args):
-            dom = kb.domain_of_position(atom.pred, i)
-            if isinstance(term, Var):
-                name, off = term.name, 0
-            elif isinstance(term, TimeExpr):
-                name, off = term.var, term.offset
-            else:
-                if dom.name == TIME_DOMAIN and not (lo <= term.value <= hi):
-                    return None  # constant time outside the window
-                continue
-            if dom.name == TIME_DOMAIN:
-                offsets.setdefault(name, set()).add(off)
-            else:
-                var_domains.setdefault(name, dom.members)
-    for name, offs in offsets.items():
-        # every occurrence t+off must land inside [lo, hi]
-        t_lo = max(lo - off for off in offs)
-        t_hi = min(hi - off for off in offs)
-        if t_lo > t_hi:
-            return None
-        var_domains[name] = range(t_lo, t_hi + 1)
-    for members in var_domains.values():
-        if not members:
-            return None
-    return var_domains
+# The ground context program
 
 
 CAtom = tuple  # ground c-atom as (pred, arg1, ..., argn)
@@ -189,10 +144,11 @@ def ground_context_program(
 ) -> GroundContextProgram:
     clauses: dict = {}
     for clause in kb.cb:
-        atoms = [clause.head] + [a for _, a in clause.body]
-        for theta in groundings(kb, atoms, lo, hi):
-            body = tuple((sign, catom_key(apply_subst(a, theta))) for sign, a in clause.body)
-            clauses.setdefault(catom_key(apply_subst(clause.head, theta)), []).append(body)
+        head = atom_slots(clause.head)
+        body = [(sign, atom_slots(a)) for sign, a in clause.body]
+        for theta in groundings(kb, [clause.head] + [a for _, a in clause.body], lo, hi):
+            ground = tuple((sign, fill_slots(slots, theta)) for sign, slots in body)
+            clauses.setdefault(fill_slots(head, theta), []).append(ground)
     return GroundContextProgram(clauses, frozenset(context))
 
 
@@ -246,9 +202,10 @@ class _Solver:
 def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
     """Prove a conjunction of context literals against completed(C ∪ CB).
 
-    A ground goal returns True/False.  A non-ground goal returns the sorted
-    list of satisfying substitutions (variable name -> ground value), ranging
-    over the declared domains and the session time window; it requires ``kb``.
+    A ground goal returns True/False.  A non-ground goal returns the list of
+    satisfying substitutions (variable name -> ``Const``), in ``groundings``
+    order over the declared domains and the session time window; it
+    requires ``kb``.
     """
     solver = _Solver(program)
     lits = list(goal)
@@ -260,7 +217,8 @@ def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
         return proven({})
     if kb is None:
         raise ValueError("non-ground goals need the knowledge base for typing")
-    return [theta for theta in groundings(kb, [a for _, a in lits], lo, hi) if proven(theta)]
+    thetas = groundings(kb, [a for _, a in lits], lo, hi)
+    return [theta for theta in ({n: Const(v) for n, v in t.items()} for t in thetas) if proven(theta)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +226,12 @@ def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
 
 
 def topo_order(parents: dict, where: str) -> list:
-    """Kahn's order of a dependency graph: parents first, ties by ``obj_sort_key``.
+    """Kahn's order of a dependency graph: parents first, ties by the least node.
 
     ``parents`` maps each node to the nodes it depends on; a dependency that
     is not a key is ignored.  A cycle raises CycleError with a closed witness
     (first node == last node), each node followed by one of its parents.
     """
-    keys = {n: obj_sort_key(n) for n in parents}
     children: dict = {n: [] for n in parents}
     indeg = dict.fromkeys(parents, 0)
     for n, ps in parents.items():
@@ -282,25 +239,25 @@ def topo_order(parents: dict, where: str) -> list:
             if p in children:
                 children[p].append(n)
                 indeg[n] += 1
-    ready = [(keys[n], n) for n, d in indeg.items() if d == 0]
+    ready = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
-        _, n = heapq.heappop(ready)
+        n = heapq.heappop(ready)
         order.append(n)
         for c in children[n]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, (keys[c], c))
+                heapq.heappush(ready, c)
     if len(order) == len(parents):
         return order
     # every node left over waits on a parent that is also left over
     left = {n for n, d in indeg.items() if d}
-    n = min(left, key=keys.get)
+    n = min(left)
     walk: dict = {}  # node -> position on the walk
     while n not in walk:
         walk[n] = len(walk)
-        n = min((p for p in parents[n] if p in left), key=keys.get)
+        n = min(p for p in parents[n] if p in left)
     cycle = list(walk)[walk[n]:]
     raise CycleError(cycle + [n], where)
 
@@ -347,12 +304,12 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
             ranges = _variable_typing(kb, schema.atoms, lo, hi)
             if ranges is None:
                 continue
-            slots = [schema.cons] + [s for _, s in schema.ante]
-            names = sorted({n for s in slots for n, _ in s if n is not None})
+            names = sorted({n for s in (schema.cons, *schema.ante) for n, _ in s if n is not None})
             for combo in itertools.product(*(ranges[n] for n in names)):
                 theta = dict(zip(names, combo))
-                node = (schema.pred,) + fill_slots(schema.cons, theta)
-                deps.setdefault(node, set()).update((p,) + fill_slots(s, theta) for p, s in schema.ante)
+                deps.setdefault(fill_slots(schema.cons, theta), set()).update(
+                    fill_slots(s, theta) for s in schema.ante
+                )
     topo_order(deps, "probabilistic base")
 
 
@@ -367,12 +324,8 @@ def check_allowed(kb: KnowledgeBase):
     def scan(head, others, where):
         groundable: dict = {}
         for atom in [head] + others:
-            for i, term in enumerate(atom.args):
-                if isinstance(term, Var):
-                    name = term.name
-                elif isinstance(term, TimeExpr):
-                    name = term.var
-                else:
+            for i, (name, _) in enumerate(map(term_slot, atom.args)):
+                if name is None:
                     continue
                 dom = kb.domain_of_position(atom.pred, i)
                 ok = dom.name == TIME_DOMAIN or bool(dom.members)

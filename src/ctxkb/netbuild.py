@@ -13,22 +13,28 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import OutOfBoundsSupportError, QuantificationError
+from .errors import ConsistencyError, OutOfBoundsSupportError, QuantificationError
 from .lang import (
     Atom,
-    Const,
     KnowledgeBase,
     Obj,
     SessionInput,
     ValidatedSession,
-    Var,
+    atom_slots,
     fill_slots,
-    obj_sort_key,
+    groundings,
     obj_time,
     validate_session,
 )
-from .logic import groundings, topo_order
-from .relevance import CombinedBase, RelevantAtomSet, _schema_typing, build_combined_base, table_gaps
+from .logic import topo_order
+from .relevance import (
+    CombinedBase,
+    RelevantAtomSet,
+    _schema_typing,
+    build_combined_base,
+    row_violations,
+    table_gaps,
+)
 
 
 @dataclass
@@ -44,24 +50,14 @@ def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
     order, sorted by bindings.
     """
     pattern = Atom(query.pred, query.args[:-1])  # the object part; the value stays free
-    out = []
-    for theta in groundings(kb, [pattern], lo, hi):
-        theta = {n: c.value for n, c in theta.items()}
-        out.append((theta, query_obj(kb, query, theta)))
-    out.sort(key=lambda pair: sorted(pair[0].items(), key=str))
+    out = [(theta, query_obj(kb, query, theta)) for theta in groundings(kb, [pattern], lo, hi)]
+    out.sort(key=lambda pair: sorted(pair[0].items()))
     return out
 
 
 def query_obj(kb: KnowledgeBase, query: Atom, theta: dict) -> Obj:
-    args = []
-    for term in query.args[:-1]:
-        if isinstance(term, Var):
-            args.append(theta[term.name])
-        elif isinstance(term, Const):
-            args.append(term.value)
-        else:  # TimeExpr
-            args.append(theta[term.var] + term.offset)
-    return (query.pred,) + tuple(args)
+    """The query's object under bindings ``theta``."""
+    return fill_slots(atom_slots(query)[:-1], theta)
 
 
 def build_net(kb: KnowledgeBase, session):
@@ -89,11 +85,13 @@ def assemble_net(
     """The network of the evidence and of the query ``candidates`` in ``ras``, from ``base``.
 
     ``candidates`` are the query's (bindings, object) pairs, as ``query_instances`` lists them.
+    A gap in a reached table raises QuantificationError, and a row that is
+    not a distribution ConsistencyError.
     """
     instances = [(theta, o) for theta, o in candidates if o in ras.objs]
 
     reached = set()
-    stack = sorted({o for _, o in instances} | set(session.evidence), key=obj_sort_key)
+    stack = sorted({o for _, o in instances} | set(session.evidence))
     gaps = []
     while stack:
         obj = stack.pop()
@@ -110,6 +108,9 @@ def assemble_net(
         gaps.extend(table_gaps(obj, table))
     if gaps:
         raise QuantificationError(gaps)
+    violations = [v for o in sorted(reached) for v in row_violations(base.tables[o])]
+    if violations:
+        raise ConsistencyError(violations)
 
     order = topo_order({o: base.tables[o].parents for o in reached}, "supporting network")
 
@@ -140,8 +141,8 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
             _, free, free_ranges = typing
             for combo in itertools.product(*free_ranges):
                 theta.update(zip(free, combo))
-                for p, slots in schema.ante:
-                    a = (p,) + fill_slots(slots, theta)
+                for slots in schema.ante:
+                    a = fill_slots(slots, theta)
                     if a not in seen and a not in tables:
                         seen.add(a)
                         stack.append(a)
@@ -154,7 +155,7 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
 
 def node_label(kb: KnowledgeBase, obj: Obj) -> str:
     decl = kb.decl(obj[0])
-    tp = decl.time_position(kb)
+    tp = decl.time_position()
     args = list(obj[1:])
     if tp is None:
         inner = ", ".join(str(a) for a in args)
@@ -172,12 +173,8 @@ def export_dot(net: BayesNet, kb: KnowledgeBase = None) -> str:
         return node_label(kb, o) if kb is not None else str(o)
 
     lines = ["digraph supporting_network {"]
-    for o in sorted(net.nodes, key=obj_sort_key):
-        lines.append(f'  "{label(o)}";')
-    edges = []
-    for o in sorted(net.nodes, key=obj_sort_key):
-        for p in net.nodes[o].parents:
-            edges.append(f'  "{label(p)}" -> "{label(o)}";')
-    lines.extend(sorted(edges))
+    lines += [f'  "{label(o)}";' for o in sorted(net.nodes)]
+    edges = sorted((p, o) for o, node in net.nodes.items() for p in node.parents)
+    lines += [f'  "{label(p)}" -> "{label(o)}";' for p, o in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

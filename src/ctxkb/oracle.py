@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import EnumerationGuardError, ImpossibleEvidenceError, QuantificationError
 from .infer import PosteriorVector
-from .lang import KnowledgeBase, Obj, SessionInput, obj_sort_key, validate_session
+from .lang import KnowledgeBase, Obj, SessionInput, validate_session
 from .logic import ancestors, topo_order
 from .netbuild import BayesNet, query_instances
 from .relevance import CombinedBase, RelevantAtomSet, build_combined_base, table_gaps
@@ -53,7 +53,7 @@ def enumerate_joint(
     """
     if objs is None:
         objs = ras.objs if ras is not None else base.tables.keys()
-    gaps = [gap for o in sorted(objs, key=obj_sort_key) for gap in table_gaps(o, base.tables.get(o))]
+    gaps = [gap for o in sorted(objs) for gap in table_gaps(o, base.tables.get(o))]
     if gaps:
         raise QuantificationError(gaps)
     order = topo_order({o: base.tables[o].parents for o in objs}, "combined relevant base")

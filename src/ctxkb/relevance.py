@@ -10,8 +10,10 @@ candidates and the evidence), so the base holds only the tables those
 objects depend on; with no demand it covers every object in the window.
 One record per proven schema grounding flows through all three stages:
 ``(obj, parents, context, cells)``, where ``parents`` are the distinct
-antecedent objects sorted by ``obj_sort_key``, ``context`` is the proven
-ground guard, and each cell is ``(value, parent values, alpha)``.
+antecedent objects in sorted order, ``context`` is the proven ground guard,
+and each cell is ``(value, parent values, alpha)``.  Objects are plain
+tuples and sort as tuples, so a table's parent order is the same at every
+timestep.
 """
 
 from __future__ import annotations
@@ -22,8 +24,18 @@ from dataclasses import dataclass, field
 
 from . import combining
 from .errors import ConflictingSentencesError, ConsistencyError, CycleError
-from .lang import Atom, KnowledgeBase, Obj, ValidatedSession, Var, fill_slots, obj_sort_key
-from .logic import _Solver, _variable_typing, ground_context_program, groundings, topo_order
+from .lang import (
+    Atom,
+    KnowledgeBase,
+    Obj,
+    ValidatedSession,
+    Var,
+    _variable_typing,
+    atom_slots,
+    fill_slots,
+    groundings,
+)
+from .logic import _Solver, ground_context_program, topo_order
 
 ROW_SUM_TOL = 1e-9
 
@@ -41,9 +53,7 @@ class GroundSentence:
 
         cons = atom_of(*self.cons)
         if self.ante:
-            ante = ", ".join(
-                str(atom_of(o, v)) for o, v in sorted(self.ante, key=lambda p: obj_sort_key(p[0]))
-            )
+            ante = ", ".join(str(atom_of(o, v)) for o, v in sorted(self.ante))
             return f"P({cons} | {ante}) = {self.alpha}"
         return f"P({cons}) = {self.alpha}"
 
@@ -82,7 +92,7 @@ class CombinedBase:
     def sentences(self):
         """Flat ground-sentence view of all complete rows."""
         for table in self.tables.values():
-            for assignment, row in sorted(table.rows.items(), key=str):
+            for assignment, row in sorted(table.rows.items()):
                 ante = frozenset(zip(table.parents, assignment))
                 for v, alpha in zip(table.values, row):
                     yield GroundSentence((table.obj, v), ante, alpha)
@@ -97,8 +107,9 @@ def _window_objects(kb: KnowledgeBase, lo: int, hi: int):
     for decl in kb.preds.values():
         if decl.kind == "p":
             pattern = Atom(decl.name, tuple(Var(f"_{i}") for i in range(len(decl.attribute_domains))))
+            slots = atom_slots(pattern)
             for theta in groundings(kb, [pattern], lo, hi):
-                yield (decl.name,) + tuple(theta[v.name].value for v in pattern.args)
+                yield fill_slots(slots, theta)
 
 
 def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None):
@@ -118,7 +129,7 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     typed: dict = {}  # Schema -> (ranges, free variables, their ranges) in the window, or None
     if demand is None:
         demand = _window_objects(kb, lo, hi)
-    stack = sorted(set(demand), key=obj_sort_key, reverse=True)
+    stack = sorted(set(demand), reverse=True)
     seen = set(stack)
     out = []
     while stack:
@@ -135,11 +146,11 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
                 continue
             for combo in itertools.product(*free_ranges):
                 theta.update(zip(free, combo))
-                context = tuple((sign, (p,) + fill_slots(slots, theta)) for sign, p, slots in schema.context)
+                context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.context)
                 if not solver.proves(context):
                     continue
-                objs = tuple((p,) + fill_slots(slots, theta) for p, slots in schema.ante)
-                parents = objs if len(objs) < 2 else tuple(sorted(set(objs), key=obj_sort_key))
+                objs = tuple(fill_slots(slots, theta) for slots in schema.ante)
+                parents = objs if len(objs) < 2 else tuple(sorted(set(objs)))
                 cells = schema.cells  # shared, and read only, when already aligned with parents
                 if schema.value_vars or parents != objs:
                     cells = _ground_cells(schema, theta, objs, parents)
@@ -246,7 +257,7 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
             by_obj.setdefault(rec[0], []).append(rec)
 
     base = CombinedBase()
-    for obj in sorted(by_obj, key=obj_sort_key):
+    for obj in sorted(by_obj):
         recs = by_obj[obj]
         values = kb.val(obj[0])
         rule_name, params = kb.combining_rule_for(obj[0])
@@ -260,8 +271,8 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
                 if cell.setdefault(value, alpha) != alpha:
                     raise _first_conflict(obj, recs)
 
-        cause_sets = sorted({ps for ps, _ in groups}, key=str)
-        parents = tuple(sorted({o for ps in cause_sets for o in ps}, key=obj_sort_key))
+        cause_sets = sorted({ps for ps, _ in groups})
+        parents = tuple(sorted({o for ps in cause_sets for o in ps}))
         parent_pos = {o: i for i, o in enumerate(parents)}
         at = [(ps, [parent_pos[o] for o in ps]) for ps in cause_sets]
 
@@ -324,6 +335,21 @@ def table_gaps(obj: Obj, table) -> list:
     return gaps
 
 
+def row_violations(table) -> list:
+    """A line for each row of ``table`` that is not a distribution."""
+    violations = []
+    for assignment, row in sorted(table.rows.items()):
+        s = sum(row)
+        if abs(s - 1.0) > ROW_SUM_TOL:
+            violations.append(
+                f"row for {table.obj} at parents {dict(zip(table.parents, assignment))} "
+                f"sums to {s!r}, expected 1"
+            )
+        if any(p < 0 or p > 1 for p in row):
+            violations.append(f"row for {table.obj} at {assignment} has entries outside [0, 1]")
+    return violations
+
+
 def consistency_violations(base: CombinedBase):
     violations = []
     # (1) no object influenced by itself
@@ -332,17 +358,8 @@ def consistency_violations(base: CombinedBase):
     except CycleError as e:
         violations.append(f"object influenced by itself: {' -> '.join(str(w) for w in e.witness)}")
     # (2) every row sums to one
-    for obj in sorted(base.tables, key=obj_sort_key):
-        table = base.tables[obj]
-        for assignment, row in sorted(table.rows.items(), key=str):
-            s = sum(row)
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                violations.append(
-                    f"row for {obj} at parents {dict(zip(table.parents, assignment))} "
-                    f"sums to {s!r}, expected 1"
-                )
-            if any(p < 0 or p > 1 for p in row):
-                violations.append(f"row for {obj} at {assignment} has entries outside [0, 1]")
+    for obj in sorted(base.tables):
+        violations.extend(row_violations(base.tables[obj]))
     return violations
 
 

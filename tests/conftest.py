@@ -19,7 +19,7 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import ConflictingSentencesError
-from ctxkb.lang import obj_of, obj_sort_key, val_of
+from ctxkb.lang import Const, obj_of, val_of
 from ctxkb.logic import _Solver, apply_subst, catom_key, ground_context_program, groundings
 from ctxkb.parser import parse_atoms
 from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
@@ -344,6 +344,7 @@ def forward_discharge(kb, session):
     out = set()
     for s in kb.pb:
         for theta in groundings(kb, list(s.atoms()), session.lo, session.hi):
+            theta = {n: Const(v) for n, v in theta.items()}
             if not solver.proves((sign, catom_key(apply_subst(a, theta))) for sign, a in s.context):
                 continue
             ante = {}
@@ -379,7 +380,7 @@ def reference_combine(sentences, kb, ras):
         by_obj.setdefault(s.cons[0], []).append(s)
 
     base = CombinedBase()
-    for obj in sorted(by_obj, key=obj_sort_key):
+    for obj in sorted(by_obj):
         sentences = by_obj[obj]
         values = kb.val(obj[0])
         rule_name, params = kb.combining_rule_for(obj[0])
@@ -388,14 +389,14 @@ def reference_combine(sentences, kb, ras):
         # rule groups: one candidate mechanism per (antecedent objects, value assignment)
         groups: dict = {}
         for s in sentences:
-            objset = tuple(sorted((o for o, _ in s.ante), key=obj_sort_key))
-            assignment = tuple(v for o, v in sorted(s.ante, key=lambda p: obj_sort_key(p[0])))
+            objset = tuple(sorted(o for o, _ in s.ante))
+            assignment = tuple(v for o, v in sorted(s.ante))
             cell = groups.setdefault((objset, assignment), {})
             if cell.setdefault(s.cons[1], s.alpha) != s.alpha:
                 raise _reference_first_conflict(sentences)
 
-        cause_sets = sorted({objset for objset, _ in groups}, key=str)
-        parents = tuple(sorted({o for objset in cause_sets for o in objset}, key=obj_sort_key))
+        cause_sets = sorted({objset for objset, _ in groups})
+        parents = tuple(sorted({o for objset in cause_sets for o in objset}))
         parent_pos = {o: i for i, o in enumerate(parents)}
 
         table = ObjTable(obj, values, parents)

@@ -100,6 +100,16 @@ def test_check_bad_row_sum_exit_4(runner, tmp_path):
     assert "sums to" in r.output
 
 
+@pytest.mark.parametrize("command", ["check", "query", "oracle-diff"])
+def test_row_that_is_not_a_distribution_is_one_line_exit_4(runner, tmp_path, command):
+    # a row of a single cause reaches the network unmerged, so answering checks it as check does
+    bad = tmp_path / "bad.ckb"
+    bad.write_text("value p = { no, yes }.\npred p(time).\nprob p(t, yes) = 0.5.\nprob p(t, no) = 0.3.\n")
+    r = runner.invoke(main, [command, str(bad)] + (["--query", "p(0, V)"] if command != "check" else []))
+    assert r.exit_code == 4
+    assert r.output == "row for ('p', 0) at parents {} sums to 0.8, expected 1\n"
+
+
 GAP_KB = "value p = { no, yes }.\nvalue q = { no, yes }.\npred p(time).\npred q(time).\n"
 
 
@@ -217,6 +227,15 @@ def test_export_dot_deterministic_bytes(runner, cardiac):
     assert a.exit_code == 0
     assert a.output == b.output
     assert a.output.startswith("digraph supporting_network {")
+
+
+def test_export_dot_lists_nodes_in_time_order(runner):
+    r = runner.invoke(main, [
+        "export-dot", data_path("paint.ckb"), "--query", "painted(door, 12, V)", "--to", "12",
+    ])
+    assert r.exit_code == 0, r.output
+    lines = r.output.splitlines()
+    assert lines.index('  "painted(door)@9";') < lines.index('  "painted(door)@10";')
 
 
 def test_oracle_diff_exit_0(runner, cardiac):

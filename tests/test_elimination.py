@@ -33,7 +33,7 @@ from ctxkb.infer import (
     multiply,
     reduce,
 )
-from ctxkb.lang import KnowledgeBase, Obj, obj_sort_key
+from ctxkb.lang import KnowledgeBase, Obj
 from ctxkb.logic import ancestors
 from ctxkb.netbuild import BayesNet, query_obj
 from ctxkb.relevance import ObjTable
@@ -54,13 +54,13 @@ def reference_min_fill_order(scopes, keep):
     order = []
     while to_eliminate:
         best = None
-        for o in sorted(to_eliminate, key=obj_sort_key):
+        for o in sorted(to_eliminate):
             nb = neighbors[o] & (to_eliminate | set(keep))
             fill = sum(
                 1
                 for a in nb
                 for b in nb
-                if obj_sort_key(a) < obj_sort_key(b) and b not in neighbors[a]
+                if a < b and b not in neighbors[a]
             )
             if best is None or fill < best[0]:
                 best = (fill, o)
@@ -80,7 +80,7 @@ def elimination_scopes(kb, net, evidence, target):
     relevant = ancestors(parents, set(evidence) | {target})
     return [
         reduce(kb, cpt_factor(kb, net.nodes[o]), evidence).scope
-        for o in sorted(relevant, key=obj_sort_key)
+        for o in sorted(relevant)
     ]
 
 
@@ -219,7 +219,7 @@ def reference_eliminate(
         relevant = ancestors(parents, set(evidence) | {target})
         factors = [
             fb.reduce(fb.cpt_factor(net.nodes[o]), evidence)
-            for o in sorted(relevant, key=obj_sort_key)
+            for o in sorted(relevant)
         ]
         keep = [target] if target not in evidence else []
         if order is None:

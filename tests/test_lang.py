@@ -20,7 +20,7 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
-from ctxkb.lang import atom_of, ext, ground_instances, obj_of, val_of
+from ctxkb.lang import atom_of, ext, obj_of, val_of
 from ctxkb.parser import _diagnostic, parse_atoms, tokenize
 
 from conftest import data_path
@@ -90,8 +90,10 @@ def test_obj_and_value_helpers(kb):
     )
 
 
-def test_ground_instances_enumerates_domain_and_window(kb):
-    got = set(map(str, ground_instances(kb, parse_atom(kb, "rhythm(X, T, nsr)"), 0, 1)))
+def test_nonground_evidence_enumerates_domain_and_window(kb):
+    ev = (parse_atom(kb, "rhythm(X, T, nsr)"),)
+    vs = validate_session(kb, SessionInput(evidence=ev, lo=0, hi=1))
+    got = {str(atom_of(o, v)) for o, v in vs.evidence.items()}
     assert got == {
         "rhythm(john, 0, nsr)",
         "rhythm(john, 1, nsr)",

@@ -268,7 +268,9 @@ def test_sentence_with_out_of_window_constant_never_grounds():
     def sentence_groundings(lo, hi):
         return [
             (apply_subst(s.cons, theta), tuple(apply_subst(a, theta) for a in s.ante))
-            for theta in groundings(kb, list(s.atoms()), lo, hi)
+            for theta in (
+                {n: Const(v) for n, v in t.items()} for t in groundings(kb, list(s.atoms()), lo, hi)
+            )
         ]
 
     assert sentence_groundings(1, 2) == []

@@ -125,6 +125,26 @@ def test_export_dot_deterministic(cardiac_kb):
     assert d1.count("->") == 2
 
 
+def test_parent_order_is_the_same_at_every_timestep():
+    # objects sort as tuples, so t-2 stays before t-1 across the 9 -> 10 digit boundary
+    kb = parse_kb(
+        """
+        domain item = { a }.
+        value p = { no, yes }.
+        pred p(item, time).
+        prob p(X, 0, no) = 0.5.
+        prob p(X, 0, yes) = 0.5.
+        prob p(X, 1, no) = 0.5.
+        prob p(X, 1, yes) = 0.5.
+        prob p(X, t, no) | p(X, t-1, U), p(X, t-2, W) = 0.4.
+        prob p(X, t, yes) | p(X, t-1, U), p(X, t-2, W) = 0.6.
+        """
+    )
+    net, _ = build_net(kb, session_for(kb, lo=0, hi=11, query="p(a, 11, V)"))
+    for t in (5, 11):
+        assert [o[2] - t for o in net.nodes[("p", "a", t)].parents] == [-2, -1]
+
+
 def test_cpt_entry_count(cardiac_kb):
     vs = session_for(cardiac_kb, lo=0, hi=1, query="rhythm(john, 1, V)")
     net, _ = build_net(cardiac_kb, vs)

@@ -14,7 +14,6 @@ from ctxkb import (
     parse_kb,
 )
 from ctxkb.errors import ConflictingSentencesError, ConsistencyError, QuantificationError
-from ctxkb.lang import obj_sort_key
 from ctxkb.relevance import check_consistency, table_gaps
 
 from conftest import ground_sentences, naive_ras_objs, random_kb, reference_restrict_rpb, session_for
@@ -206,7 +205,7 @@ def test_quantification_gap_reported():
     # and its incomplete value coverage must surface as a gap
     vs = session_for(kb, lo=0, hi=0)
     base, ras, _ = build_combined_base(kb, vs)
-    gaps = [gap for o in sorted(ras.objs, key=obj_sort_key) for gap in table_gaps(o, base.tables.get(o))]
+    gaps = [gap for o in sorted(ras.objs) for gap in table_gaps(o, base.tables.get(o))]
     assert gaps and gaps[0][0] == ("p", 0)
     assert "missing value variant 'no'" in gaps[0][1]
 
