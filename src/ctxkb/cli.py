@@ -42,30 +42,18 @@ def _fail(code: int, *messages):
 
 
 def _atoms(kb, path):
-    if path is None:
-        return []
-    return load_atoms(kb, path)
+    return [] if path is None else load_atoms(kb, path)
 
 
 def _query_atom(kb, text):
-    if text is None:
-        return None
-    return parse_atom(kb, text)
+    return None if text is None else parse_atom(kb, text)
 
 
 def _default_bounds(kb, frm, to, atoms):
+    """The bounds given, else 0 and the latest time that one of the atoms names (0 if none)."""
     if to is None:
-        times = [0]
-        for a in atoms:
-            if a is None:
-                continue
-            t = atom_time(kb, a)
-            if t is not None:
-                times.append(t)
-        to = max(times)
-    if frm is None:
-        frm = 0
-    return frm, to
+        to = max([0] + [t for t in (atom_time(kb, a) for a in atoms if a is not None) if t is not None])
+    return 0 if frm is None else frm, to
 
 
 def _session(kb, context_path, evidence_path, query_text, frm, to):
@@ -270,10 +258,7 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
     for (theta_a, vec_a), (theta_b, vec_b) in pairs:
         if theta_a != theta_b or vec_a.query_object != vec_b.query_object:
             _fail(4, "instance ordering differs between the two answer paths")
-        worst = max(
-            worst,
-            max(abs(x - y) for x, y in zip(vec_a.probabilities, vec_b.probabilities)),
-        )
+        worst = max(worst, max(abs(x - y) for x, y in zip(vec_a.probabilities, vec_b.probabilities)))
     sample_note = None
     if seed is not None:
         targets = [vec.query_object for _, vec in ans.instances]

@@ -21,7 +21,7 @@ def rule(name: str):
     """The combining function named ``name``.
 
     Read from this module's namespace at each call, so a wrapper installed
-    over ``noisy_max`` or ``single_only`` is the one that runs.
+    over ``noisy_max`` or ``single_only`` runs for each table shape built after.
     """
     if name not in RULES:
         raise CombiningRuleError(f"unknown combining rule {name!r}")

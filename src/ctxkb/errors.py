@@ -89,12 +89,8 @@ class QuantificationError(CtxkbError):
     exit_code = 4
 
     def __init__(self, missing):
-        # missing: list of (obj, detail-string)
-        self.missing = list(missing)
-        super().__init__(
-            "incompletely quantified: "
-            + "; ".join(f"{o}: {d}" for o, d in self.missing[:5])
-        )
+        self.missing = list(missing)  # (obj, detail) pairs
+        super().__init__("incompletely quantified: " + "; ".join(f"{o}: {d}" for o, d in self.missing[:5]))
 
 
 class ConsistencyError(CtxkbError):

@@ -31,10 +31,12 @@ from .lang import (
     Obj,
     SessionInput,
     ValidatedSession,
+    atom_slots,
+    fill_slots,
     validate_session,
 )
 from .logic import ancestors
-from .netbuild import BayesNet, build_net, query_obj
+from .netbuild import BayesNet, build_net
 from .relevance import ObjTable
 
 NORM_TOL = 1e-9
@@ -100,18 +102,23 @@ def cpt_factor(kb: KnowledgeBase, table: ObjTable) -> Factor:
 
     Every factor entry starts here, and products and sums of non-negative
     entries stay non-negative, so this is the one place that checks sign.
+    Entries are built and checked once per shape and shared: no factor operation writes its inputs.
     """
     scope = table.parents + (table.obj,)
-    domains = [kb.val(o[0]) for o in scope]
-    cards = tuple(map(len, domains))
-    if any(map(cards[-1].__ne__, map(len, table.rows.values()))):
-        raise ConsistencyError([f"a row of the table of {table.obj} has the wrong length"])
-    # rows in row-major order of the parents' values, zeros where the table has none
-    zeros = (0.0,) * cards[-1]
-    rows = map(table.rows.get, itertools.product(*domains[:-1]), itertools.repeat(zeros))
-    values = Entries(itertools.chain.from_iterable(rows))
-    if not all(map(_NON_NEGATIVE, values)):
-        raise ConsistencyError([f"factor over {scope} has a negative entry"])
+    shape = table.shape
+    if shape.cpt is None:
+        domains = [kb.val(o[0]) for o in scope]
+        cards = tuple(map(len, domains))
+        if any(map(cards[-1].__ne__, map(len, shape.rows.values()))):
+            raise ConsistencyError([f"a row of the table of {table.obj} has the wrong length"])
+        # rows in row-major order of the parents' values, zeros where the table has none
+        zeros = (0.0,) * cards[-1]
+        rows = map(shape.rows.get, itertools.product(*domains[:-1]), itertools.repeat(zeros))
+        values = Entries(itertools.chain.from_iterable(rows))
+        if not all(map(_NON_NEGATIVE, values)):
+            raise ConsistencyError([f"factor over {scope} has a negative entry"])
+        shape.cpt = cards, values
+    cards, values = shape.cpt
     return Factor(scope, cards, values)
 
 
@@ -340,8 +347,9 @@ def answer_on_net(
     kb: KnowledgeBase, session: ValidatedSession, net: BayesNet, subs, order=None
 ) -> QueryAnswer:
     instances = []
+    slots = atom_slots(session.query)[:-1]
     for theta in subs:
-        target = query_obj(kb, session.query, theta)
+        target = fill_slots(slots, theta)
         factors = eliminate(kb, net, session.evidence, [target], order=order)
         vec = factors[target]
         if vec.scope != (target,):

@@ -184,6 +184,8 @@ class Schema:
     context: tuple  # per guard literal: (sign, slots)
     atoms: tuple  # the atoms of the first sentence; they type every variable of the schema
     cells: list = field(default_factory=list)
+    typing: tuple = None  # (_atom_typing, free variables), compiled at first use
+    aligned: dict = field(default_factory=dict)  # alignment -> relevance.Cells, built at first use
 
     def match(self, obj: Obj):
         """Bindings under which the consequent's object is ``obj``, or None; times unbounded."""
@@ -197,6 +199,18 @@ class Schema:
                 if theta.setdefault(n, v) != v:
                     return None
         return theta
+
+    def window_typing(self, kb, lo: int, hi: int):
+        """(ranges, free variables, their ranges) in [lo, hi]; None without a grounding there.
+
+        Free variables are those the consequent's object does not bind.
+        """
+        if self.typing is None:
+            typing, bound = _atom_typing(kb, self.atoms), {n for n, _ in self.cons}
+            self.typing = typing, sorted(n for n in typing[0] if n not in bound)
+        typing, free = self.typing
+        ranges = _window_ranges(typing, lo, hi)
+        return None if ranges is None else (ranges, free, [ranges[n] for n in free])
 
 
 def compile_schemas(pb) -> dict:
@@ -256,11 +270,14 @@ class KnowledgeBase:
     cr: dict = field(default_factory=dict)  # p-pred -> (rule name, params dict)
     # consequent predicate -> its link-matrix schemas, compiled once from pb
     schemas: dict = field(init=False, repr=False, compare=False)
+    # shape key -> relevance.Shape: the combined tables of every session, filled by combine_rpb
+    shapes: dict = field(init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
 
     def __post_init__(self):
         object.__setattr__(self, "schemas", compile_schemas(self.pb))
+        object.__setattr__(self, "shapes", {})
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]
@@ -351,20 +368,21 @@ def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
     that name a constant time outside the window, yield nothing; atoms
     without variables yield one empty dict.
     """
-    ranges = _variable_typing(kb, atoms, lo, hi)
+    ranges = _window_ranges(_atom_typing(kb, atoms), lo, hi)
     if ranges is not None:
         for combo in itertools.product(*ranges.values()):
             yield dict(zip(ranges, combo))
 
 
-def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
-    """Map each variable to its finite ground range, or None when one is empty.
+def _atom_typing(kb: KnowledgeBase, atoms):
+    """The typing of the atoms' variables that holds in every window.
 
-    The map is in order of first occurrence.  A time variable ranges over a
-    ``range``, any other over its domain's members.
+    (variable -> domain members, or None for a time variable, in order of first
+    occurrence; time variable -> (least, greatest offset); constant times)
     """
     var_domains: dict = {}
     offsets: dict = {}
+    times = []
     for atom in atoms:
         for i, (name, x) in enumerate(map(term_slot, atom.args)):
             dom = kb.domain_of_position(atom.pred, i)
@@ -372,17 +390,26 @@ def _variable_typing(kb: KnowledgeBase, atoms, lo: int, hi: int):
                 if name is not None:
                     var_domains.setdefault(name, dom.members)
             elif name is None:
-                if not lo <= x <= hi:
-                    return None  # constant time outside the window
+                times.append(x)
             else:
-                var_domains.setdefault(name, None)  # holds its place; the range is set below
+                var_domains.setdefault(name, None)  # holds its place; the range is set per window
                 offsets.setdefault(name, set()).add(x)
-    for name, offs in offsets.items():
+    return var_domains, {n: (min(offs), max(offs)) for n, offs in offsets.items()}, times
+
+
+def _window_ranges(typing, lo: int, hi: int):
+    """Each variable of an ``_atom_typing`` mapped to its range in [lo, hi]; None if one is empty.
+
+    A time variable ranges over a ``range``, any other over its domain's members.
+    """
+    var_domains, offsets, times = typing
+    if not all(lo <= x <= hi for x in times):
+        return None  # a constant time outside the window
+    ranges = dict(var_domains)
+    for name, (least, greatest) in offsets.items():
         # every occurrence t+off must land inside [lo, hi]
-        var_domains[name] = range(max(lo - off for off in offs), min(hi - off for off in offs) + 1)
-    if not all(var_domains.values()):
-        return None
-    return var_domains
+        ranges[name] = range(lo - least, hi - greatest + 1)
+    return ranges if all(ranges.values()) else None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .lang import (
     KnowledgeBase,
     TimeExpr,
     Var,
-    _variable_typing,
     atom_slots,
     fill_slots,
     groundings,
@@ -301,9 +300,10 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
     deps: dict = {}
     for schemas in kb.schemas.values():
         for schema in schemas:
-            ranges = _variable_typing(kb, schema.atoms, lo, hi)
-            if ranges is None:
+            typing = schema.window_typing(kb, lo, hi)
+            if typing is None:
                 continue
+            ranges = typing[0]
             names = sorted({n for s in (schema.cons, *schema.ante) for n, _ in s if n is not None})
             for combo in itertools.product(*(ranges[n] for n in names)):
                 theta = dict(zip(names, combo))

@@ -30,7 +30,6 @@ from .logic import topo_order
 from .relevance import (
     CombinedBase,
     RelevantAtomSet,
-    _schema_typing,
     build_combined_base,
     row_violations,
     table_gaps,
@@ -50,12 +49,13 @@ def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
     order, sorted by bindings.
     """
     pattern = Atom(query.pred, query.args[:-1])  # the object part; the value stays free
-    out = [(theta, query_obj(kb, query, theta)) for theta in groundings(kb, [pattern], lo, hi)]
+    slots = atom_slots(pattern)
+    out = [(theta, fill_slots(slots, theta)) for theta in groundings(kb, [pattern], lo, hi)]
     out.sort(key=lambda pair: sorted(pair[0].items()))
     return out
 
 
-def query_obj(kb: KnowledgeBase, query: Atom, theta: dict) -> Obj:
+def query_obj(query: Atom, theta: dict) -> Obj:
     """The query's object under bindings ``theta``."""
     return fill_slots(atom_slots(query)[:-1], theta)
 
@@ -135,7 +135,7 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
             theta = schema.match(o)
             if theta is None:
                 continue
-            typing = _schema_typing(kb, schema, lo, hi)
+            typing = schema.window_typing(kb, lo, hi)
             if typing is None or any(v not in typing[0][n] for n, v in theta.items()):
                 return o  # matches in general, but only outside the window
             _, free, free_ranges = typing
@@ -154,16 +154,11 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
 
 
 def node_label(kb: KnowledgeBase, obj: Obj) -> str:
-    decl = kb.decl(obj[0])
-    tp = decl.time_position()
+    tp = kb.decl(obj[0]).time_position()
     args = list(obj[1:])
-    if tp is None:
-        inner = ", ".join(str(a) for a in args)
-        return f"{obj[0]}({inner})" if args else obj[0]
-    t = args.pop(tp)
-    inner = ", ".join(str(a) for a in args)
-    head = f"{obj[0]}({inner})" if args else obj[0]
-    return f"{head}@{t}"
+    t = None if tp is None else args.pop(tp)
+    head = f"{obj[0]}({', '.join(map(str, args))})" if args else obj[0]
+    return head if tp is None else f"{head}@{t}"
 
 
 def export_dot(net: BayesNet, kb: KnowledgeBase = None) -> str:

@@ -30,7 +30,7 @@ from .lang import (
     Obj,
     ValidatedSession,
     Var,
-    _variable_typing,
+    atom_of,
     atom_slots,
     fill_slots,
     groundings,
@@ -49,8 +49,6 @@ class GroundSentence:
     alpha: float
 
     def __str__(self) -> str:
-        from .lang import atom_of
-
         cons = atom_of(*self.cons)
         if self.ante:
             ante = ", ".join(str(atom_of(o, v)) for o, v in sorted(self.ante))
@@ -65,13 +63,36 @@ class RelevantAtomSet:
     objs: frozenset  # of Obj
 
 
+class Shape:
+    """What a combined table holds besides its object and parents, shared by every table of one shape.
+
+    ``bad`` holds (assignment, sum, entries outside [0, 1]) per row that is
+    not a distribution, ``cpt`` the cardinalities and flat factor entries;
+    each is worked out at first use.  A shape names no object, time, guard
+    or evidence, so a knowledge base keeps its shapes across sessions.
+    """
+
+    __slots__ = ("values", "rows", "missing", "bad", "cpt")
+
+    def __init__(self, values, rows, missing):
+        self.values, self.rows, self.missing, self.bad, self.cpt = values, rows, missing, None, None
+
+
+class Cells(tuple):
+    """A grounding's aligned cells, one object per schema and alignment: hashed by identity."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
 @dataclass
 class ObjTable:
     """Combined conditional table of one object, and its node in the supporting network.
 
     ``rows`` holds the complete rows only; ``missing`` is the one record of
     every gap.  Nothing writes a table after ``combine_rpb`` returns it, so
-    the network shares it as the node's CPT.
+    the network shares it as the node's CPT; tables of one ``shape`` share
+    its rows, gaps and checks, and a table built without one gets its own.
     """
 
     obj: Obj
@@ -79,6 +100,11 @@ class ObjTable:
     parents: tuple  # of Obj, sorted
     rows: dict = field(default_factory=dict)  # parent assignment -> tuple of probs over values
     missing: list = field(default_factory=list)  # (assignment, value-or-None)
+    shape: Shape = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.shape is None:
+            self.shape = Shape(self.values, self.rows, self.missing)
 
     @property
     def n_entries(self) -> int:
@@ -136,7 +162,7 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
         obj = stack.pop()
         for schema in kb.schemas.get(obj[0], ()):
             if schema not in typed:
-                typed[schema] = _schema_typing(kb, schema, lo, hi)
+                typed[schema] = schema.window_typing(kb, lo, hi)
             t = typed[schema]
             theta = None if t is None else schema.match(obj)
             if theta is None:
@@ -151,11 +177,16 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
                     continue
                 objs = tuple(fill_slots(slots, theta) for slots in schema.ante)
                 parents = objs if len(objs) < 2 else tuple(sorted(set(objs)))
-                cells = schema.cells  # shared, and read only, when already aligned with parents
+                key = None  # the alignment; None when the antecedents are the parents in order
                 if schema.value_vars or parents != objs:
-                    cells = _ground_cells(schema, theta, objs, parents)
-                    if not cells:
-                        continue
+                    cons_var, ante_vars = schema.value_vars or (None, ())
+                    values = tuple(theta[n] for n in (cons_var, *ante_vars) if n)
+                    key = tuple(map(parents.index, objs)), values
+                cells = schema.aligned.get(key)
+                if cells is None:
+                    cells = schema.aligned[key] = _ground_cells(schema, theta, objs, parents)
+                if not cells:
+                    continue
                 out.append((obj, parents, context, cells))
                 for o in parents:
                     if o not in seen:
@@ -164,39 +195,25 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     return out
 
 
-def _ground_cells(schema, theta, objs, parents):
-    """A grounding's coherent cells, their antecedent values aligned with ``parents``."""
+def _ground_cells(schema, theta, objs, parents) -> Cells:
+    """A grounding's coherent cells, their antecedent values aligned with ``parents``.
+
+    They depend on the grounding only through each antecedent's position
+    among the parents and the values of the variable value slots, so
+    discharge builds them once per schema and alignment.
+    """
     at = [objs.index(o) for o in parents]  # each parent's first antecedent position
     repeats = [(i, j) for i, j in enumerate(map(objs.index, objs)) if i != j]
+    cons_var, ante_vars = schema.value_vars or (None, ())
     cells = []
     for value, values, alpha in schema.cells:
-        if schema.value_vars:
-            value, values = _fill_values(schema.value_vars, value, values, theta)
+        if schema.value_vars:  # fill the variable value slots from theta
+            value = theta[cons_var] if cons_var else value
+            values = tuple(theta[n] if n else v for n, v in zip(ante_vars, values))
         if any(values[i] != values[j] for i, j in repeats):
             continue  # incoherent: two values for one object; it can never hold
         cells.append((value, tuple(values[i] for i in at), alpha))
-    return cells
-
-
-def _schema_typing(kb: KnowledgeBase, schema, lo: int, hi: int):
-    """(ranges, free variables, their ranges) of a schema in [lo, hi]; None if it has no grounding.
-
-    The free variables are those the consequent's object does not bind.
-    """
-    ranges = _variable_typing(kb, schema.atoms, lo, hi)
-    if ranges is None:
-        return None
-    bound = {n for n, _ in schema.cons}
-    free = sorted(n for n in ranges if n not in bound)
-    return ranges, free, [ranges[n] for n in free]
-
-
-def _fill_values(value_vars, value, values, theta):
-    """A cell's consequent and antecedent values, its variable value slots filled from ``theta``."""
-    cons_var, ante_vars = value_vars
-    if cons_var:
-        value = theta[cons_var]
-    return value, tuple(theta[n] if n else v for n, v in zip(ante_vars, values))
+    return Cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +265,10 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
 
     The cells of one parent tuple and one parent assignment form a rule
     group; where several groups cover a row, the object's combining rule
-    merges their distributions.
+    merges their distributions.  The rows depend on the object only through
+    the shape key: predicate, parents' predicates and, per record, its
+    parents' positions among the table's parents and its cells.  Each shape
+    is built once per knowledge base, in ``kb.shapes``; one that clashes is not kept.
     """
     relevant = ras.objs
     by_obj: dict = {}
@@ -259,46 +279,55 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
     base = CombinedBase()
     for obj in sorted(by_obj):
         recs = by_obj[obj]
-        values = kb.val(obj[0])
-        rule_name, params = kb.combining_rule_for(obj[0])
-        rule = combining.rule(rule_name)
-
-        # rule groups: one cause per (parent objects, parent values)
-        groups: dict = {}
-        for _, parents, _, cells in recs:
-            for value, us, alpha in cells:
-                cell = groups.setdefault((parents, us), {})
-                if cell.setdefault(value, alpha) != alpha:
-                    raise _first_conflict(obj, recs)
-
-        cause_sets = sorted({ps for ps, _ in groups})
-        parents = tuple(sorted({o for ps in cause_sets for o in ps}))
+        parents = tuple(sorted({o for rec in recs for o in rec[1]}))
         parent_pos = {o: i for i, o in enumerate(parents)}
-        at = [(ps, [parent_pos[o] for o in ps]) for ps in cause_sets]
-
-        table = ObjTable(obj, values, parents)
-        for combo in itertools.product(*(kb.val(p[0]) for p in parents)):
-            dists = []
-            cell_missing = []
-            for ps, idx in at:
-                cell = groups.get((ps, tuple(combo[i] for i in idx)))
-                if cell is None:
-                    continue  # this cause does not cover the assignment
-                missing_vals = [v for v in values if v not in cell]
-                if missing_vals:
-                    cell_missing.extend((combo, v) for v in missing_vals)
-                    continue
-                dists.append(tuple(cell[v] for v in values))
-            if cell_missing:
-                table.missing.extend(cell_missing)
-            elif not dists:
-                table.missing.append((combo, None))
-            elif len(dists) == 1:
-                table.rows[combo] = dists[0]
-            else:
-                table.rows[combo] = tuple(rule(obj, dists, values, params))
-        base.tables[obj] = table
+        causes = tuple((tuple(parent_pos[o] for o in ps), cells) for _, ps, _, cells in recs)
+        key = (obj[0], tuple(p[0] for p in parents), causes)
+        shape = kb.shapes.get(key)
+        if shape is None:
+            shape = kb.shapes[key] = _build_shape(kb, obj, recs, parents, causes)
+        base.tables[obj] = ObjTable(obj, shape.values, parents, shape.rows, shape.missing, shape)
     return base
+
+
+def _build_shape(kb: KnowledgeBase, obj, recs, parents, causes) -> Shape:
+    """The rows and gaps of ``obj``'s table from its records; ``causes`` pairs their positions and cells."""
+    values = kb.val(obj[0])
+    rule_name, params = kb.combining_rule_for(obj[0])
+    rule = combining.rule(rule_name)
+
+    # rule groups: one cause per (parent positions, parent values)
+    groups: dict = {}
+    for at, cells in causes:
+        for value, us, alpha in cells:
+            cell = groups.setdefault((at, us), {})
+            if cell.setdefault(value, alpha) != alpha:
+                raise _first_conflict(obj, recs)
+    # positions sort as their objects do, so causes combine in the objects' order
+    cause_sets = sorted({at for at, _ in groups})
+
+    shape = Shape(values, {}, [])
+    for combo in itertools.product(*(kb.val(p[0]) for p in parents)):
+        dists = []
+        cell_missing = []
+        for at in cause_sets:
+            cell = groups.get((at, tuple(combo[i] for i in at)))
+            if cell is None:
+                continue  # this cause does not cover the assignment
+            missing_vals = [v for v in values if v not in cell]
+            if missing_vals:
+                cell_missing.extend((combo, v) for v in missing_vals)
+                continue
+            dists.append(tuple(cell[v] for v in values))
+        if cell_missing:
+            shape.missing.extend(cell_missing)
+        elif not dists:
+            shape.missing.append((combo, None))
+        elif len(dists) == 1:
+            shape.rows[combo] = dists[0]
+        else:
+            shape.rows[combo] = tuple(rule(obj, dists, values, params))
+    return shape
 
 
 def _first_conflict(obj, records) -> ConflictingSentencesError:
@@ -336,16 +365,23 @@ def table_gaps(obj: Obj, table) -> list:
 
 
 def row_violations(table) -> list:
-    """A line for each row of ``table`` that is not a distribution."""
+    """A line for each row of ``table`` that is not a distribution; rows are checked once per shape."""
+    shape = table.shape
+    if shape.bad is None:
+        bad = []
+        for assignment, row in sorted(shape.rows.items()):
+            s, outside = sum(row), any(p < 0 or p > 1 for p in row)
+            if abs(s - 1.0) > ROW_SUM_TOL or outside:
+                bad.append((assignment, s, outside))
+        shape.bad = bad
     violations = []
-    for assignment, row in sorted(table.rows.items()):
-        s = sum(row)
+    for assignment, s, outside in shape.bad:
         if abs(s - 1.0) > ROW_SUM_TOL:
             violations.append(
                 f"row for {table.obj} at parents {dict(zip(table.parents, assignment))} "
                 f"sums to {s!r}, expected 1"
             )
-        if any(p < 0 or p > 1 for p in row):
+        if outside:
             violations.append(f"row for {table.obj} at {assignment} has entries outside [0, 1]")
     return violations
 

@@ -263,7 +263,7 @@ def agree_with_reference(kb, vs):
     same = 0
     for theta, vec in answers:
         target = vec.query_object
-        assert target == query_obj(kb, vs.query, theta)
+        assert target == query_obj(vs.query, theta)
         ref = reference_eliminate(kb, net, vs.evidence, [target])[target]
         got = eliminate(kb, net, vs.evidence, [target])[target]
         assert got.scope == ref.scope == (target,)
@@ -350,7 +350,7 @@ def test_eliminate_matches_reference_on_timed_corpus(case):
         # an exact structural zero: the reference finds P(E) = 0 too
         net, subs = build_net(kb, vs)
         for theta in subs:
-            target = query_obj(kb, vs.query, theta)
+            target = query_obj(vs.query, theta)
             ref = reference_eliminate(kb, net, vs.evidence, [target])[target]
             assert float(ref.values.sum()) == 0.0
     except (OutOfBoundsSupportError, QuantificationError):
@@ -414,7 +414,7 @@ def test_min_fill_matches_reference_on_paint_horizon(paint_kb):
         query="painted(door, 240, V)",
     )
     net, subs = build_net(paint_kb, vs)
-    target = query_obj(paint_kb, vs.query, subs[0])
+    target = query_obj(vs.query, subs[0])
     scopes = elimination_scopes(paint_kb, net, vs.evidence, target)
     assert len(scopes) > 200
     order = min_fill_order(scopes, {target})
@@ -437,7 +437,7 @@ def test_min_fill_matches_reference_on_cardiac(cardiac_kb, context, evidence, hi
     net, subs = build_net(cardiac_kb, vs)
     assert subs
     for theta in subs:
-        target = query_obj(cardiac_kb, vs.query, theta)
+        target = query_obj(vs.query, theta)
         scopes = elimination_scopes(cardiac_kb, net, vs.evidence, target)
         assert min_fill_order(scopes, {target}) == reference_min_fill_order(scopes, {target})
 
@@ -467,7 +467,7 @@ def test_alternating_evidence_does_not_underflow(paint_kb):
     assert vec.probabilities == pytest.approx(expected, abs=1e-9)
 
     net, subs = build_net(paint_kb, vs)
-    target = query_obj(paint_kb, vs.query, subs[0])
+    target = query_obj(vs.query, subs[0])
     joint = eliminate(paint_kb, net, vs.evidence, [target])[target]
     assert joint.scope == (target,)
     log_mass = math.log(sum(joint.values)) + joint.log2_scale * math.log(2)
