@@ -1,13 +1,23 @@
 """Exact posterior computation on a supporting network via variable elimination.
 
 Each network node is its object's combined table; ``cpt_factor`` turns it
-into a factor and ``reduce`` slices the evidence out of that factor.
-Factors stay unnormalized until the final division, so a vanishing evidence
-probability is detected rather than silently divided through.  Each factor
-that elimination produces is rescaled by a power of two, carried in the
-factor's ``log2_scale`` (Rabiner 1989 scaling), so long evidence runs do not
-underflow.  The answer to a complete query is one posterior vector per ground
-query instance, aligned with the declared value order.
+into a factor.  Factors stay unnormalized until the final division, so a
+vanishing evidence probability is detected rather than silently divided
+through.  Each factor that elimination produces is rescaled by a power of
+two, carried in the factor's ``log2_scale`` (Rabiner 1989 scaling), so long
+evidence runs do not underflow.  The answer to a complete query is one
+posterior vector per ground query instance, aligned with the declared value
+order.
+
+What elimination does for a target (relevant nodes, min-fill order, which
+factors each step multiplies and how their axes line up) depends only on
+each node's object and parents, the evidence objects and the target.
+``compile_plan`` works it out; ``KnowledgeBase.plans`` keeps the plan under
+the structure and the sorted evidence objects, then the target, from the
+structure's second call on.  A plan holds no table, entry or evidence value,
+so the store grows with distinct structures (query × window × evidence
+objects), not with action plans or sessions.  ``run_plan`` applies it to one
+session's tables.
 
 A factor is a flat row-major list of floats in plain Python.  The factors of
 a supporting network are small (tens to a few thousand entries), so a numpy
@@ -122,24 +132,6 @@ def cpt_factor(kb: KnowledgeBase, table: ObjTable) -> Factor:
     return Factor(scope, cards, values)
 
 
-def reduce(kb: KnowledgeBase, factor: Factor, evidence: dict) -> Factor:
-    """Slice out observed values for scope objects present in evidence."""
-    scope, cards, strides = [], [], []
-    offset = 0
-    for o, c, s in zip(factor.scope, factor.cards, _strides(factor.cards)):
-        if o in evidence:
-            offset += kb.val(o[0]).index(evidence[o]) * s
-        else:
-            scope.append(o)
-            cards.append(c)
-            strides.append(s)
-    if len(scope) == len(factor.scope):
-        return factor
-    cards = tuple(cards)
-    picked = _take(cards, tuple(strides), offset)(factor.values[:])
-    return Factor(tuple(scope), cards, Entries(picked))
-
-
 @lru_cache(maxsize=512)
 def _product_plan(a_cards: tuple, b_cards: tuple, b_in_a: tuple):
     """How to multiply factors of these cardinalities; ``b_in_a`` gives the axis
@@ -157,29 +149,26 @@ def _product_plan(a_cards: tuple, b_cards: tuple, b_in_a: tuple):
     return new, cards, take_a, _take(cards, tuple(along))
 
 
-def multiply(a: Factor, b: Factor) -> Factor:
-    """The product over a's scope followed by b's objects that a lacks."""
-    b_in_a = tuple(a.scope.index(o) if o in a.scope else None for o in b.scope)
-    new, cards, take_a, take_b = _product_plan(a.cards, b.cards, b_in_a)
+def multiply(a: Factor, b: Factor, how) -> Factor:
+    """The product over a's scope followed by b's objects that a lacks; ``how`` is its ``_product_plan``."""
+    new, cards, take_a, take_b = how
     scope, av = a.scope, a.values
     if new:
-        scope += tuple(b.scope[j] for j in new)
+        scope += tuple([b.scope[j] for j in new])
         av = take_a(av[:])
     values = Entries(map(mul, av, take_b(b.values[:])))
     return Factor(scope, cards, values, a.log2_scale + b.log2_scale)
 
 
-def marginalize(f: Factor, obj: Obj) -> Factor:
-    """Sum ``obj`` out of ``f``, adding its slices in value order."""
-    i = f.scope.index(obj)
+def sum_out(f: Factor, axis: int, takes) -> Factor:
+    """Sum ``axis`` out of ``f`` through its ``_sum_takes``, adding the slices in value order."""
     v = f.values[:]
-    first, *rest = _sum_takes(f.cards, i)
+    first, *rest = takes
     acc = first(v)
     for take in rest:
         acc = map(add, acc, take(v))
-    return Factor(
-        f.scope[:i] + f.scope[i + 1 :], f.cards[:i] + f.cards[i + 1 :], Entries(acc), f.log2_scale
-    )
+    scope, cards = f.scope[:axis] + f.scope[axis + 1 :], f.cards[:axis] + f.cards[axis + 1 :]
+    return Factor(scope, cards, Entries(acc), f.log2_scale)
 
 
 def _rescale(f: Factor) -> Factor:
@@ -196,19 +185,6 @@ def _rescale(f: Factor) -> Factor:
         return f
     values = Entries(map(math.ldexp, f.values, itertools.repeat(-e)))
     return Factor(f.scope, f.cards, values, f.log2_scale + e)
-
-
-def _product(factors) -> Factor:
-    """Left-to-right product of a non-empty factor list.
-
-    Each partial product is rescaled before the next factor multiplies it.
-    The last is left to the caller: summing an object out commutes with an
-    exact power-of-two scale, so one rescale after the sum does for both.
-    """
-    prod = factors[0]
-    for f in factors[1:-1]:
-        prod = _rescale(multiply(prod, f))
-    return multiply(prod, factors[-1]) if len(factors) > 1 else prod
 
 
 def min_fill_order(scopes, keep):
@@ -256,53 +232,128 @@ def min_fill_order(scopes, keep):
     return order
 
 
-def eliminate(
-    kb: KnowledgeBase,
-    net: BayesNet,
-    evidence: dict,
-    targets,
-    order=None,
-):
+def _product_shape(shapes):
+    """Scope, cards and each product's ``_product_plan`` when ``shapes``, (scope, cards)
+    pairs, multiply left to right."""
+    scope, cards = shapes[0]
+    hows = []
+    for b_scope, b_cards in shapes[1:]:
+        how = _product_plan(cards, b_cards, tuple([scope.index(o) if o in scope else None for o in b_scope]))
+        scope += tuple([b_scope[j] for j in how[0]])
+        cards = how[1]
+        hows.append(how)
+    return scope, cards, tuple(hows)
+
+
+def compile_plan(kb: KnowledgeBase, parents: dict, observed: frozenset, target: Obj, order=None):
+    """The plan for ``target`` on the network ``parents`` (object -> its parents), ``observed``
+    its evidence objects.  Only the ancestors of the target and the evidence take part (barren
+    nodes are answer-preserving to prune).  ``order`` overrides the min-fill heuristic.
+
+    A plan is a pair.  Its factors hold, per relevant node in object order, the
+    object and None, or the evidence objects' strides and the reduced scope,
+    cardinalities and strides.  Its steps hold the ids of the factors they
+    multiply (the factors, then each step's result), a ``_product_plan`` per
+    product, and the axis summed out with its ``_sum_takes``; the last step is
+    the final product and sums nothing out.
+    """
+    relevant = ancestors(parents, observed | {target})
+    card = {o: len(kb.val(o[0])) for o in relevant}
+    factors, shapes = [], []
+    for o in sorted(relevant):
+        scope = parents[o] + (o,)
+        cards = tuple([card[p] for p in scope])
+        reduction = None
+        if not observed.isdisjoint(scope):
+            strides = _strides(cards)
+            seen = tuple((p, s) for p, s in zip(scope, strides) if p in observed)
+            kept = [i for i, p in enumerate(scope) if p not in observed]
+            scope, cards, strides = (tuple([x[i] for i in kept]) for x in (scope, cards, strides))
+            reduction = seen, scope, cards, strides
+        factors.append((o, reduction))
+        shapes.append((scope, cards))
+    keep = set() if target in observed else {target}
+    if order is None:
+        elim = min_fill_order([scope for scope, _ in shapes], keep)
+    else:
+        elim = [o for o in order if o in relevant and o not in keep and o not in observed]
+    # Factors by id, and per object the ids whose scope names it.
+    # Ids only grow, so a bucket multiplies in the order of the factor list.
+    live = dict(enumerate(shapes))
+    buckets: dict = {}
+    for i, (scope, _) in live.items():
+        for p in scope:
+            buckets.setdefault(p, []).append(i)
+    steps = []
+    for o in elim:
+        ids = tuple([i for i in buckets.pop(o, ()) if i in live])
+        if ids:
+            scope, cards, hows = _product_shape([live.pop(i) for i in ids])
+            axis = scope.index(o)
+            steps.append((ids, hows, axis, _sum_takes(cards, axis)))
+            new_id = len(shapes) + len(steps) - 1
+            live[new_id] = scope[:axis] + scope[axis + 1 :], cards[:axis] + cards[axis + 1 :]
+            for p in live[new_id][0]:
+                buckets.setdefault(p, []).append(new_id)
+    steps.append((tuple(live), _product_shape(list(live.values()))[2], None, None))
+    return tuple(factors), tuple(steps)
+
+
+def run_plan(kb: KnowledgeBase, plan, nodes: dict, evidence: dict) -> Factor:
+    """The plan's final product on these tables and evidence values, each entry read through ``cpt_factor``.
+
+    Each partial product is rescaled before the next factor multiplies it.
+    The last is not: summing an object out commutes with an exact
+    power-of-two scale, so one rescale after the sum does for both.
+    """
+    factors = []
+    for o, reduction in plan[0]:
+        f = cpt_factor(kb, nodes[o])
+        if reduction is not None:
+            seen, scope, cards, strides = reduction
+            offset = sum(kb.val(p[0]).index(evidence[p]) * s for p, s in seen)
+            f = Factor(scope, cards, Entries(_take(cards, strides, offset)(f.values[:])))
+        factors.append(f)
+    for ids, hows, axis, takes in plan[1]:
+        prod = factors[ids[0]]
+        for k, (i, how) in enumerate(zip(ids[1:], hows), 1 - len(hows)):
+            prod = multiply(prod, factors[i], how)
+            prod = _rescale(prod) if k else prod  # k is 0 at the last product
+        if axis is not None:
+            prod = _rescale(sum_out(prod, axis, takes))
+        factors.append(prod)
+    return prod
+
+
+def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets, order=None):
     """Unnormalized joint factors P(target, evidence), one per target object.
 
-    Only the ancestors of targets and evidence participate (barren nodes are
-    answer-preserving to prune).  ``order`` overrides the min-fill heuristic.
-    Each returned factor holds P(target, evidence) / 2**log2_scale.
+    A structure's plans are kept in ``kb.plans`` from its second call on;
+    the first call leaves an empty entry, so a one-shot run such as a
+    projection holds no plan per target.  A plan for an explicit ``order``
+    is not kept.  Each returned factor holds P(target, evidence) / 2**log2_scale.
     """
     for o in evidence:
         if o not in net.nodes:
             raise CtxkbError(f"evidence object {o} is not in the network")
     parents = {o: node.parents for o, node in net.nodes.items()}
+    observed = tuple(sorted(evidence))
+    plans = None  # where this call keeps its plans: none for an explicit order or a first call
+    if targets and order is None:
+        key = (tuple(parents.items()), observed)
+        plans = kb.plans.get(key)
+        if plans is None:
+            kb.plans[key] = ()
+        elif not plans:
+            plans = kb.plans[key] = {}
     out = {}
     for target in targets:
-        relevant = ancestors(parents, set(evidence) | {target})
-        factors = [
-            reduce(kb, cpt_factor(kb, net.nodes[o]), evidence)
-            for o in sorted(relevant)
-        ]
-        keep = [target] if target not in evidence else []
-        if order is None:
-            elim = min_fill_order([f.scope for f in factors], set(keep))
-        else:
-            elim = [o for o in order if o in relevant and o not in keep and o not in evidence]
-        # Factors by creation id, and per object the ids whose scope names it.
-        # Ids only grow, so a bucket multiplies in the order of the factor list.
-        live = dict(enumerate(factors))
-        buckets: dict = {}
-        for i, f in live.items():
-            for p in f.scope:
-                buckets.setdefault(p, []).append(i)
-        next_id = len(factors)
-        for o in elim:
-            group = [live.pop(i) for i in buckets.pop(o, ()) if i in live]
-            if not group:
-                continue
-            new = _rescale(marginalize(_product(group), o))
-            live[next_id] = new
-            for p in new.scope:
-                buckets.setdefault(p, []).append(next_id)
-            next_id += 1
-        result = _product(list(live.values()))
+        plan = None if plans is None else plans.get(target)
+        if plan is None:
+            plan = compile_plan(kb, parents, frozenset(observed), target, order)
+            if plans is not None:
+                plans[target] = plan
+        result = run_plan(kb, plan, net.nodes, evidence)
         if target in evidence:
             # degenerate: expand the observed target back into a vector
             [mass] = result.values
@@ -346,16 +397,14 @@ def answer_query(kb: KnowledgeBase, session) -> QueryAnswer:
 def answer_on_net(
     kb: KnowledgeBase, session: ValidatedSession, net: BayesNet, subs, order=None
 ) -> QueryAnswer:
-    instances = []
     slots = atom_slots(session.query)[:-1]
-    for theta in subs:
-        target = fill_slots(slots, theta)
-        factors = eliminate(kb, net, session.evidence, [target], order=order)
-        vec = factors[target]
+    targets = [fill_slots(slots, theta) for theta in subs]
+    joints = eliminate(kb, net, session.evidence, targets, order=order)
+    instances = []
+    for theta, target in zip(subs, targets):
+        vec = joints[target]
         if vec.scope != (target,):
-            raise ConsistencyError(
-                [f"elimination for {target} left the scope {vec.scope}"]
-            )
+            raise ConsistencyError([f"elimination for {target} left the scope {vec.scope}"])
         mass = 0.0  # P(E) / 2**log2_scale, summed in value order
         for p in vec.values:
             mass += p

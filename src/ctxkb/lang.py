@@ -272,12 +272,23 @@ class KnowledgeBase:
     schemas: dict = field(init=False, repr=False, compare=False)
     # shape key -> relevance.Shape: the combined tables of every session, filled by combine_rpb
     shapes: dict = field(init=False, repr=False, compare=False)
+    # (network structure, evidence objects) -> target -> its infer.compile_plan plan, filled by eliminate
+    # from a structure's second call on (its first leaves an empty entry)
+    plans: dict = field(init=False, repr=False, compare=False)
+    # per context clause: head slots, body (sign, slots) and window-free typing, compiled once from cb
+    clauses: tuple = field(init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
 
     def __post_init__(self):
         object.__setattr__(self, "schemas", compile_schemas(self.pb))
         object.__setattr__(self, "shapes", {})
+        object.__setattr__(self, "plans", {})
+        object.__setattr__(self, "clauses", tuple(
+            (atom_slots(c.head), tuple((sign, atom_slots(a)) for sign, a in c.body),
+             _atom_typing(self, [c.head] + [a for _, a in c.body]))
+            for c in self.cb
+        ))
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]
@@ -368,7 +379,12 @@ def groundings(kb: KnowledgeBase, atoms, lo: int, hi: int):
     that name a constant time outside the window, yield nothing; atoms
     without variables yield one empty dict.
     """
-    ranges = _window_ranges(_atom_typing(kb, atoms), lo, hi)
+    return bindings(_window_ranges(_atom_typing(kb, atoms), lo, hi))
+
+
+def bindings(ranges):
+    """Each combination of ``ranges``, a ``_window_ranges`` result, as a dict; the last variable
+    varies fastest, and None yields nothing."""
     if ranges is not None:
         for combo in itertools.product(*ranges.values()):
             yield dict(zip(ranges, combo))

@@ -2,12 +2,12 @@
 
 The context base is an acyclic normal logic program evaluated under Clark's
 completion semantics.  Because sessions confine time to a finite window and
-all attribute domains are finite, the program is grounded up front through
-``lang.groundings``, the one grounding routine of every stage: it binds
-variables to plain values, and ``lang.fill_slots`` turns each clause atom
-into a ground tuple.  Goal evaluation then walks an explicit proof stack over
-ground clauses, with negation as (finite) failure.  On an acyclic ground
-program this computes exactly the unique supported model of the completion.
+all attribute domains are finite, the program is grounded up front in
+``lang.groundings`` order from each clause's typing, compiled once per KB
+(``KnowledgeBase.clauses``): a session works out only its window ranges.
+Goal evaluation then walks an explicit proof stack over ground clauses, with
+negation as (finite) failure.  On an acyclic ground program this computes
+exactly the unique supported model of the completion.
 ``unify`` and ``apply_subst`` work on ``Const`` terms; they serve
 ``sldnf_solve``, whose substitutions keep that form.  ``topo_order`` and
 ``ancestors`` are the graph walks every later stage shares.
@@ -16,7 +16,6 @@ program this computes exactly the unique supported model of the completion.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .errors import CycleError, Diagnostic, NotAllowedError
@@ -27,7 +26,8 @@ from .lang import (
     KnowledgeBase,
     TimeExpr,
     Var,
-    atom_slots,
+    _window_ranges,
+    bindings,
     fill_slots,
     groundings,
     term_slot,
@@ -142,10 +142,8 @@ def ground_context_program(
     kb: KnowledgeBase, context: frozenset, lo: int, hi: int
 ) -> GroundContextProgram:
     clauses: dict = {}
-    for clause in kb.cb:
-        head = atom_slots(clause.head)
-        body = [(sign, atom_slots(a)) for sign, a in clause.body]
-        for theta in groundings(kb, [clause.head] + [a for _, a in clause.body], lo, hi):
+    for head, body, typing in kb.clauses:
+        for theta in bindings(_window_ranges(typing, lo, hi)):
             ground = tuple((sign, fill_slots(slots, theta)) for sign, slots in body)
             clauses.setdefault(fill_slots(head, theta), []).append(ground)
     return GroundContextProgram(clauses, frozenset(context))
@@ -305,8 +303,7 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
                 continue
             ranges = typing[0]
             names = sorted({n for s in (schema.cons, *schema.ante) for n, _ in s if n is not None})
-            for combo in itertools.product(*(ranges[n] for n in names)):
-                theta = dict(zip(names, combo))
+            for theta in bindings({n: ranges[n] for n in names}):
                 deps.setdefault(fill_slots(schema.cons, theta), set()).update(
                     fill_slots(s, theta) for s in schema.ante
                 )

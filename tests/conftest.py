@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctxkb import (
     SessionInput,
+    answer_query,
     combining,
     discharge_contexts,
     load_kb,
@@ -18,7 +19,7 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
-from ctxkb.errors import ConflictingSentencesError
+from ctxkb.errors import ConflictingSentencesError, CtxkbError
 from ctxkb.lang import Const, obj_of, val_of
 from ctxkb.logic import _Solver, apply_subst, catom_key, ground_context_program, groundings
 from ctxkb.parser import parse_atoms
@@ -46,6 +47,18 @@ def session_for(kb, context="", evidence="", lo=0, hi=0, query=None):
     return validate_session(
         kb, SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=lo, hi=hi, query=q)
     )
+
+
+def outcome(kb, session):
+    """Instance order and float-hex posteriors of an answer, or the error's type and message."""
+    try:
+        ans = answer_query(kb, session_for(kb, **session))
+    except CtxkbError as e:
+        return type(e).__name__, str(e)
+    return [
+        (sorted(theta.items()), vec.query_object, [p.hex() for p in vec.probabilities])
+        for theta, vec in ans.instances
+    ]
 
 
 # ---------------------------------------------------------------------------

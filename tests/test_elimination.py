@@ -21,23 +21,13 @@ from ctxkb.errors import (
     OutOfBoundsSupportError,
     QuantificationError,
 )
-from ctxkb.infer import (
-    Entries,
-    Factor,
-    _rescale,
-    answer_on_net,
-    cpt_factor,
-    eliminate,
-    marginalize,
-    min_fill_order,
-    multiply,
-    reduce,
-)
+from ctxkb.infer import Entries, Factor, _rescale, answer_on_net, cpt_factor, eliminate, min_fill_order
 from ctxkb.lang import KnowledgeBase, Obj
 from ctxkb.logic import ancestors
 from ctxkb.netbuild import BayesNet, query_obj
 from ctxkb.relevance import ObjTable
 
+from bucket import marginalize, multiply, reduce
 from conftest import session_for, timed_kbs
 
 

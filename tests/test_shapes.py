@@ -14,24 +14,12 @@ from hypothesis import given, settings
 
 from ctxkb import answer_query, build_net, parse_kb
 from ctxkb.cli import main
-from ctxkb.errors import ConflictingSentencesError, CtxkbError, QuantificationError
+from ctxkb.errors import ConflictingSentencesError, QuantificationError
 
-from conftest import data_path, session_for, timed_kbs
+from conftest import data_path, outcome, session_for, timed_kbs
 
 CARDIAC_TEXT = Path(data_path("cardiac.ckb")).read_text(encoding="utf-8")
 PAINT_TEXT = Path(data_path("paint.ckb")).read_text(encoding="utf-8")
-
-
-def outcome(kb, session):
-    """Instance order and float-hex posteriors of an answer, or the error's type and message."""
-    try:
-        ans = answer_query(kb, session_for(kb, **session))
-    except CtxkbError as e:
-        return type(e).__name__, str(e)
-    return [
-        (sorted(theta.items()), vec.query_object, [p.hex() for p in vec.probabilities])
-        for theta, vec in ans.instances
-    ]
 
 
 def cardiac_sessions(seed, n):
