@@ -14,8 +14,8 @@ from importlib import resources
 
 from .errors import CtxkbError
 from .infer import answer_on_net
-from .lang import Atom, Const, KnowledgeBase, SessionInput, validate_session
-from .netbuild import build_net, obj_time
+from .lang import Atom, Const, KnowledgeBase, SessionInput, obj_time, validate_session
+from .netbuild import build_net
 from .parser import parse_atom, parse_kb
 
 

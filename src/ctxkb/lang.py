@@ -164,6 +164,23 @@ def fill_slots(slots, theta) -> tuple:
     return tuple(x if n is None else theta[n] + x if x else theta[n] for n, x in slots)
 
 
+def match_slots(slots, ground, ranges=None):
+    """Bindings under which ``slots`` fill to ``ground``, or None; also None when a bound
+    value lies outside its variable's ``ranges``, if given (else times are unbounded)."""
+    theta: dict = {}
+    for (n, x), c in zip(slots, ground):
+        if n is None:
+            if c != x:
+                return None
+        else:
+            v = c - x if x else c
+            if theta.setdefault(n, v) != v:
+                return None
+    if ranges is not None and any(v not in ranges[n] for n, v in theta.items()):
+        return None
+    return theta
+
+
 @dataclass(eq=False)
 class Schema:
     """A link matrix: the PB sentences that differ only in their constant values.
@@ -186,19 +203,6 @@ class Schema:
     cells: list = field(default_factory=list)
     typing: tuple = None  # (_atom_typing, free variables), compiled at first use
     aligned: dict = field(default_factory=dict)  # alignment -> relevance.Cells, built at first use
-
-    def match(self, obj: Obj):
-        """Bindings under which the consequent's object is ``obj``, or None; times unbounded."""
-        theta: dict = {}
-        for (n, x), c in zip(self.cons, obj):
-            if n is None:
-                if c != x:
-                    return None
-            else:
-                v = c - x if x else c
-                if theta.setdefault(n, v) != v:
-                    return None
-        return theta
 
     def window_typing(self, kb, lo: int, hi: int):
         """(ranges, free variables, their ranges) in [lo, hi]; None without a grounding there.
@@ -275,8 +279,8 @@ class KnowledgeBase:
     # (network structure, evidence objects) -> target -> its infer.compile_plan plan, filled by eliminate
     # from a structure's second call on (its first leaves an empty entry)
     plans: dict = field(init=False, repr=False, compare=False)
-    # per context clause: head slots, body (sign, slots) and window-free typing, compiled once from cb
-    clauses: tuple = field(init=False, repr=False, compare=False)
+    # head predicate -> per clause in text order: head slots, body (sign, slots), window-free typing
+    clauses: dict = field(init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
 
@@ -284,11 +288,11 @@ class KnowledgeBase:
         object.__setattr__(self, "schemas", compile_schemas(self.pb))
         object.__setattr__(self, "shapes", {})
         object.__setattr__(self, "plans", {})
-        object.__setattr__(self, "clauses", tuple(
-            (atom_slots(c.head), tuple((sign, atom_slots(a)) for sign, a in c.body),
-             _atom_typing(self, [c.head] + [a for _, a in c.body]))
-            for c in self.cb
-        ))
+        object.__setattr__(self, "clauses", {})
+        for c in self.cb:
+            body = tuple((sign, atom_slots(a)) for sign, a in c.body)
+            typing = _atom_typing(self, [c.head] + [a for _, a in c.body])
+            self.clauses.setdefault(c.head.pred, []).append((atom_slots(c.head), body, typing))
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]

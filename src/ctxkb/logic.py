@@ -1,13 +1,14 @@
-"""Unification, the ground context program, SLDNF and dependency graphs.
+"""Unification, SLDNF over the context base, and dependency graphs.
 
 The context base is an acyclic normal logic program evaluated under Clark's
-completion semantics.  Because sessions confine time to a finite window and
-all attribute domains are finite, the program is grounded up front in
-``lang.groundings`` order from each clause's typing, compiled once per KB
-(``KnowledgeBase.clauses``): a session works out only its window ranges.
-Goal evaluation then walks an explicit proof stack over ground clauses, with
-negation as (finite) failure.  On an acyclic ground program this computes
-exactly the unique supported model of the completion.
+completion semantics.  Sessions confine time to a finite window and all
+attribute domains are finite, so it has a finite ground form, grounded on
+demand: a goal's clauses (compiled once per KB, ``KnowledgeBase.clauses``)
+are matched and grounded when a proof first meets it, so a query grounds
+only the goals its guards reach, whatever the window.  Goal evaluation walks
+an explicit proof stack over ground clauses, with negation as (finite)
+failure.  On an acyclic ground program this computes exactly the unique
+supported model of the completion.
 ``unify`` and ``apply_subst`` work on ``Const`` terms; they serve
 ``sldnf_solve``, whose substitutions keep that form.  ``topo_order`` and
 ``ancestors`` are the graph walks every later stage shares.
@@ -16,7 +17,6 @@ exactly the unique supported model of the completion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import CycleError, Diagnostic, NotAllowedError
 from .lang import (
@@ -24,13 +24,16 @@ from .lang import (
     Atom,
     Const,
     KnowledgeBase,
+    SessionInput,
     TimeExpr,
     Var,
     _window_ranges,
     bindings,
     fill_slots,
     groundings,
+    match_slots,
     term_slot,
+    validate_session,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def _bind(name: str, term):
 
 
 # ---------------------------------------------------------------------------
-# The ground context program
+# SLDNF evaluation
 
 
 CAtom = tuple  # ground c-atom as (pred, arg1, ..., argn)
@@ -130,33 +133,30 @@ def catom_key(atom: Atom) -> CAtom:
     return (atom.pred,) + tuple(t.value for t in atom.args)
 
 
-@dataclass
-class GroundContextProgram:
-    """Ground clauses of C ∪ CB over the session window."""
-
-    clauses: dict  # head CAtom -> list of bodies; body = tuple of (sign, CAtom)
-    facts: frozenset  # ground(C)
-
-
-def ground_context_program(
-    kb: KnowledgeBase, context: frozenset, lo: int, hi: int
-) -> GroundContextProgram:
-    clauses: dict = {}
-    for head, body, typing in kb.clauses:
-        for theta in bindings(_window_ranges(typing, lo, hi)):
-            ground = tuple((sign, fill_slots(slots, theta)) for sign, slots in body)
-            clauses.setdefault(fill_slots(head, theta), []).append(ground)
-    return GroundContextProgram(clauses, frozenset(context))
-
-
-# ---------------------------------------------------------------------------
-# SLDNF evaluation
-
-
 class _Solver:
-    def __init__(self, program: GroundContextProgram):
-        self.program = program
-        self.memo: dict = dict.fromkeys(program.facts, True)
+    """Truth of ground c-atoms under completed(C ∪ CB), times confined to [lo, hi]."""
+
+    def __init__(self, kb: KnowledgeBase, context, lo: int, hi: int):
+        self.memo: dict = dict.fromkeys(context, True)
+        self.clauses: dict = {}  # head predicate -> (head, body, window ranges) per clause
+        for pred, clauses in kb.clauses.items():
+            for head, body, typing in clauses:
+                ranges = _window_ranges(typing, lo, hi)
+                if ranges is not None:
+                    self.clauses.setdefault(pred, []).append((head, body, ranges))
+
+    def bodies(self, goal: CAtom) -> list:
+        """The ground bodies of ``goal``: per clause of its predicate in text order whose head
+        matches it in the window, one per binding of the body-only variables, so they come in
+        the order that grounding every clause up front lists them."""
+        out = []
+        for head, body, ranges in self.clauses.get(goal[0], ()):
+            theta = match_slots(head, goal, ranges)
+            if theta is not None:
+                for combo in bindings({n: r for n, r in ranges.items() if n not in theta}):
+                    theta.update(combo)
+                    out.append(tuple((sign, fill_slots(slots, theta)) for sign, slots in body))
+        return out
 
     def holds(self, atom: CAtom) -> bool:
         """Truth of a ground c-atom under the completion, by an explicit proof stack.
@@ -164,10 +164,10 @@ class _Solver:
         Bodies are tried in order and literals left to right, as in SLDNF.  A
         goal met again on its own proof path raises CycleError.
         """
-        memo, clauses = self.memo, self.program.clauses
+        memo = self.memo
         if atom in memo:
             return memo[atom]
-        path = [[atom, clauses.get(atom, ()), 0, 0]]  # goal, its bodies, body index, literal index
+        path = [[atom, self.bodies(atom), 0, 0]]  # goal, its bodies, body index, literal index
         on_path = {atom}
         while path:
             frame = path[-1]
@@ -187,7 +187,7 @@ class _Solver:
                 goals = [f[0] for f in path]
                 raise CycleError(goals[goals.index(b):] + [b], "context base")
             else:
-                path.append([b, clauses.get(b, ()), 0, 0])
+                path.append([b, self.bodies(b), 0, 0])
                 on_path.add(b)
         return memo[atom]
 
@@ -196,15 +196,18 @@ class _Solver:
         return all(self.holds(a) == sign for sign, a in literals)
 
 
-def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
+def sldnf_solve(kb: KnowledgeBase, session, goal):
     """Prove a conjunction of context literals against completed(C ∪ CB).
 
-    A ground goal returns True/False.  A non-ground goal returns the list of
-    satisfying substitutions (variable name -> ``Const``), in ``groundings``
-    order over the declared domains and the session time window; it
-    requires ``kb``.
+    ``session`` (a ``ValidatedSession``, or a ``SessionInput`` validated here)
+    gives the facts C and the time window.  A ground goal returns True/False.
+    A non-ground goal returns the list of satisfying substitutions (variable
+    name -> ``Const``), in ``groundings`` order over the declared domains and
+    the session window.
     """
-    solver = _Solver(program)
+    if isinstance(session, SessionInput):
+        session = validate_session(kb, session)
+    solver = _Solver(kb, session.context, session.lo, session.hi)
     lits = list(goal)
 
     def proven(theta):
@@ -212,9 +215,7 @@ def sldnf_solve(program: GroundContextProgram, goal, kb=None, lo=0, hi=0):
 
     if all(a.is_ground() for _, a in lits):
         return proven({})
-    if kb is None:
-        raise ValueError("non-ground goals need the knowledge base for typing")
-    thetas = groundings(kb, [a for _, a in lits], lo, hi)
+    thetas = groundings(kb, [a for _, a in lits], session.lo, session.hi)
     return [theta for theta in ({n: Const(v) for n, v in t.items()} for t in thetas) if proven(theta)]
 
 
@@ -280,11 +281,11 @@ def check_acyclic_cb(kb: KnowledgeBase, lo: int, hi: int):
 
     Raises CycleError with a witness cycle of ground c-atoms otherwise.
     """
-    program = ground_context_program(kb, frozenset(), lo, hi)
-    deps = {
-        head: {b for body in bodies for _, b in body}
-        for head, bodies in program.clauses.items()
-    }
+    deps: dict = {}
+    for clauses in kb.clauses.values():
+        for head, body, typing in clauses:
+            for theta in bindings(_window_ranges(typing, lo, hi)):
+                deps.setdefault(fill_slots(head, theta), set()).update(fill_slots(b, theta) for _, b in body)
     topo_order(deps, "context base")
 
 

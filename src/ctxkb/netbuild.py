@@ -23,7 +23,7 @@ from .lang import (
     atom_slots,
     fill_slots,
     groundings,
-    obj_time,
+    match_slots,
     validate_session,
 )
 from .logic import topo_order
@@ -113,11 +113,6 @@ def assemble_net(
         raise ConsistencyError(violations)
 
     order = topo_order({o: base.tables[o].parents for o in reached}, "supporting network")
-
-    for obj in order:
-        t = obj_time(kb, obj)
-        if t is not None and not session.lo <= t <= session.hi:
-            raise OutOfBoundsSupportError(obj)
     return BayesNet({o: base.tables[o] for o in order}, tuple(order)), [theta for theta, _ in instances]
 
 
@@ -132,11 +127,11 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
     while stack:
         o = stack.pop()
         for schema in kb.schemas.get(o[0], ()):
-            theta = schema.match(o)
-            if theta is None:
+            if match_slots(schema.cons, o) is None:
                 continue
             typing = schema.window_typing(kb, lo, hi)
-            if typing is None or any(v not in typing[0][n] for n, v in theta.items()):
+            theta = None if typing is None else match_slots(schema.cons, o, typing[0])
+            if theta is None:
                 return o  # matches in general, but only outside the window
             _, free, free_ranges = typing
             for combo in itertools.product(*free_ranges):

@@ -34,8 +34,9 @@ from .lang import (
     atom_slots,
     fill_slots,
     groundings,
+    match_slots,
 )
-from .logic import _Solver, ground_context_program, topo_order
+from .logic import _Solver, topo_order
 
 ROW_SUM_TOL = 1e-9
 
@@ -151,7 +152,7 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     the combined tables of those objects depend on.
     """
     lo, hi = session.lo, session.hi
-    solver = _Solver(ground_context_program(kb, session.context, lo, hi))
+    solver = _Solver(kb, session.context, lo, hi)
     typed: dict = {}  # Schema -> (ranges, free variables, their ranges) in the window, or None
     if demand is None:
         demand = _window_objects(kb, lo, hi)
@@ -164,12 +165,10 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
             if schema not in typed:
                 typed[schema] = schema.window_typing(kb, lo, hi)
             t = typed[schema]
-            theta = None if t is None else schema.match(obj)
+            theta = None if t is None else match_slots(schema.cons, obj, t[0])
             if theta is None:
                 continue
-            ranges, free, free_ranges = t
-            if any(v not in ranges[n] for n, v in theta.items()):
-                continue
+            _, free, free_ranges = t
             for combo in itertools.product(*free_ranges):
                 theta.update(zip(free, combo))
                 context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.context)

@@ -21,7 +21,7 @@ from ctxkb import (
 )
 from ctxkb.errors import ConflictingSentencesError, CtxkbError
 from ctxkb.lang import Const, obj_of, val_of
-from ctxkb.logic import _Solver, apply_subst, catom_key, ground_context_program, groundings
+from ctxkb.logic import apply_subst, catom_key, groundings
 from ctxkb.parser import parse_atoms
 from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
 
@@ -347,18 +347,48 @@ def naive_ras_objs(kb, session):
     return {o for o, _ in atoms}
 
 
+def reference_ground_program(kb, lo, hi):
+    """Every context clause grounded over the whole window, up front: ground head -> its bodies.
+
+    Each clause over every typed substitution, through ``apply_subst``, in
+    text order; each body is a tuple of (sign, ground c-atom).
+    """
+    clauses: dict = {}
+    for c in kb.cb:
+        for theta in groundings(kb, [c.head] + [a for _, a in c.body], lo, hi):
+            theta = {n: Const(v) for n, v in theta.items()}
+            body = tuple((sign, catom_key(apply_subst(a, theta))) for sign, a in c.body)
+            clauses.setdefault(catom_key(apply_subst(c.head, theta)), []).append(body)
+    return clauses
+
+
+def reference_holds(kb, session):
+    """Truth of a ground c-atom under the completion: a plain memoised evaluator over
+    ``reference_ground_program``, for acyclic programs."""
+    clauses = reference_ground_program(kb, session.lo, session.hi)
+    memo = dict.fromkeys(session.context, True)
+
+    def holds(atom):
+        if atom not in memo:
+            memo[atom] = any(all(holds(b) == sign for sign, b in body) for body in clauses.get(atom, ()))
+        return memo[atom]
+
+    return holds
+
+
 def forward_discharge(kb, session):
     """Every ground PB instance in the window whose guard holds, grounded forward.
 
-    Each sentence over every typed substitution, through ``apply_subst``: an
-    independent reference for ``discharge_contexts``.
+    Each sentence over every typed substitution, through ``apply_subst``, its
+    guard decided by ``reference_holds``: an independent reference for
+    ``discharge_contexts``.
     """
-    solver = _Solver(ground_context_program(kb, session.context, session.lo, session.hi))
+    holds = reference_holds(kb, session)
     out = set()
     for s in kb.pb:
         for theta in groundings(kb, list(s.atoms()), session.lo, session.hi):
             theta = {n: Const(v) for n, v in theta.items()}
-            if not solver.proves((sign, catom_key(apply_subst(a, theta))) for sign, a in s.context):
+            if not all(holds(catom_key(apply_subst(a, theta))) == sign for sign, a in s.context):
                 continue
             ante = {}
             for a in s.ante:

@@ -493,8 +493,43 @@ def test_query_self_negating_context_exit_2(runner, tmp_path):
     kb.write_text(LOOK_AHEAD_KB.replace("ctx on(T) <- on(T+1).", "ctx on(T) <- not on(T)."))
     r = runner.invoke(main, ["query", str(kb), "--query", "p(0, V)", "--to", "0"])
     assert r.exit_code == 2
-    _one_line_error(r)
-    assert "cycle" in r.output
+    assert r.output == "context base: cycle: ('on', 0) -> ('on', 0)\n"
+
+
+# f(X, 1) holds unless g(X, 1), and g(X, 1) needs not f(X, 1): a cycle through negation
+# that a proof meets only after f(X, 0) holds
+CYCLE_AT_1_KB = """
+domain d = { a, b }.
+value p = { no, yes }.
+cpred f(d, time).
+cpred g(d, time).
+cpred h(d, time).
+pred p(d, time).
+ctx f(X, T) <- h(X, T).
+ctx f(X, T) <- not g(X, T).
+ctx g(X, T) <- f(X, T-1), not f(X, T).
+prob p(X, T, yes) = 0.9 <- f(X, T).
+prob p(X, T, no) = 0.1 <- f(X, T).
+prob p(X, T, yes) = 0.2 <- not f(X, T).
+prob p(X, T, no) = 0.8 <- not f(X, T).
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["query", "--query", "p(b, 2, V)", "--to", "3"],
+         "context base: cycle: ('f', 'b', 1) -> ('g', 'b', 1) -> ('f', 'b', 1)"),
+        (["check", "--to", "3"], "context base: cycle: ('f', 'a', 1) -> ('g', 'a', 1) -> ('f', 'a', 1)"),
+    ],
+)
+def test_context_cycle_line_exit_2(runner, tmp_path, argv, line):
+    # the query path proves guards on demand, check grounds the whole window: one witness form
+    kb = tmp_path / "cyc1.ckb"
+    kb.write_text(CYCLE_AT_1_KB)
+    r = runner.invoke(main, [argv[0], str(kb), *argv[1:]])
+    assert r.exit_code == 2
+    assert r.output == line + "\n"
 
 
 def test_project_matches_query_at_each_timestep(runner, cardiac, tmp_path):
@@ -581,3 +616,63 @@ def test_answering_does_not_import_numpy(cardiac, command):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert bare.returncode == 0, bare.stderr
+
+
+# ---------------------------------------------------------------------------
+# Argument checks and output options
+
+
+@pytest.mark.parametrize("command", ["query", "project", "oracle-diff"])
+def test_missing_query_exit_1(runner, cardiac, command):
+    plan = ["--plan", cardiac["ctx"]] if command == "project" else []
+    r = runner.invoke(main, [command, cardiac["kb"], *plan])
+    assert r.exit_code == 1
+    assert r.output == f"{command}: --query is required\n"
+
+
+def test_project_untimed_query_exit_1(runner, tmp_path):
+    kb = tmp_path / "untimed.ckb"
+    kb.write_text(
+        "domain d = { a }.\nvalue q = { no, yes }.\npred q(d).\n"
+        "prob q(X, yes) = 0.5.\nprob q(X, no) = 0.5.\n"
+    )
+    plan = tmp_path / "empty.txt"
+    plan.write_text("")
+    r = runner.invoke(main, ["project", str(kb), "--plan", str(plan), "--query", "q(a, V)"])
+    assert r.exit_code == 1
+    assert r.output == "project: query predicate 'q' has no time attribute\n"
+
+
+def test_bench_plan_time_outside_horizon_exit_1(runner):
+    r = runner.invoke(main, ["bench", "--horizon", "3", "--plan-times", "0,5"])
+    assert r.exit_code == 1
+    assert r.output == "bench: plan times [5] outside [0, 2]\n"
+
+
+def test_check_json(runner, cardiac):
+    r = runner.invoke(main, ["check", cardiac["kb"], "--to", "2", "--format", "json"])
+    assert r.exit_code == 0, r.output
+    assert r.output == json.dumps({"ok": True, "file": cardiac["kb"], "bounds": [0, 2]}) + "\n"
+
+
+def test_export_dot_out_file(runner, cardiac, tmp_path):
+    args = [cardiac["kb"], "--evidence", cardiac["ev"], "--query", "rhythm(john, 3, V)", "--to", "3"]
+    shown = runner.invoke(main, ["export-dot", *args])
+    assert shown.exit_code == 0, shown.output
+    out = tmp_path / "net.dot"
+    r = runner.invoke(main, ["export-dot", *args, "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert out.read_text(encoding="utf-8") == shown.output
+    assert r.output == f"wrote {out} (4 nodes)\n"
+
+
+def test_oracle_diff_json(runner, cardiac):
+    r = runner.invoke(main, [
+        "oracle-diff", cardiac["kb"], "--context", cardiac["ctx"], "--evidence", cardiac["ev"],
+        "--query", "rhythm(john, 3, V)", "--to", "3", "--format", "json",
+    ])
+    assert r.exit_code == 0, r.output
+    payload = json.loads(r.output)
+    assert sorted(payload) == ["instances", "max_abs_diff"]
+    assert payload["instances"] == 1
+    assert 0 <= payload["max_abs_diff"] <= 1e-9

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ctxkb import (
     Atom,
     Const,
     CycleError,
     NotAllowedError,
+    SessionInput,
     TimeExpr,
     Var,
+    answer_query,
     check_acyclic_cb,
     check_acyclic_pb,
     check_allowed,
@@ -18,13 +21,10 @@ from ctxkb import (
     sldnf_solve,
     unify,
 )
-from ctxkb.logic import (
-    GroundContextProgram,
-    apply_subst,
-    catom_key,
-    ground_context_program,
-    topo_order,
-)
+from ctxkb import logic
+from ctxkb.logic import _Solver, apply_subst, catom_key, groundings, topo_order
+
+from conftest import reference_ground_program, reference_holds, session_for, timed_kbs
 
 
 def A(pred, *args):
@@ -126,19 +126,26 @@ def _random_program(rng, n):
     return clauses, facts
 
 
+def _program_kb(n, clauses):
+    """The 0-ary program as KB text, parsed: one ``cpred`` per atom, one ``ctx`` per clause."""
+    lines = [f"cpred c{i}." for i in range(n)]
+    for (head,), body in clauses:
+        lits = ", ".join(b if sign else f"not {b}" for sign, (b,) in body)
+        lines.append(f"ctx {head} <- {lits}.")
+    return parse_kb("\n".join(lines) + "\n")
+
+
 def test_sldnf_agrees_with_completion_oracle():
     rng = random.Random(42)
     for trial in range(150):
         n = rng.randint(2, 12)
         clauses, facts = _random_program(rng, n)
         model = _completion_model(n, clauses, facts)
-        clause_map = {}
-        for head, body in clauses:
-            clause_map.setdefault(head, []).append(body)
-        program = GroundContextProgram(clause_map, facts)
+        kb = _program_kb(n, clauses)
+        session = SessionInput(context=tuple(Atom(f, ()) for (f,) in sorted(facts)))
         goals = [[(True, Atom("c%d" % i, ()))] for i in range(n)]
         for i, goal in enumerate(goals):
-            got = sldnf_solve(program, goal)
+            got = sldnf_solve(kb, session, goal)
             assert got == model[("c%d" % i,)], (trial, i)
 
 
@@ -151,11 +158,11 @@ def test_sldnf_negation_and_conjunction():
         ctx g(X) <- not f(X).
         """
     )
-    prog = ground_context_program(kb, frozenset(), 0, 0)
-    assert sldnf_solve(prog, [(True, A("g", "a"))]) is True
-    assert sldnf_solve(prog, [(False, A("f", "a")), (True, A("g", "a"))]) is True
-    prog2 = ground_context_program(kb, frozenset({("f", "a")}), 0, 0)
-    assert sldnf_solve(prog2, [(True, A("g", "a"))]) is False
+    empty = session_for(kb)
+    assert sldnf_solve(kb, empty, [(True, A("g", "a"))]) is True
+    assert sldnf_solve(kb, empty, [(False, A("f", "a")), (True, A("g", "a"))]) is True
+    f_a = session_for(kb, context="f(a).")
+    assert sldnf_solve(kb, f_a, [(True, A("g", "a"))]) is False
 
 
 def test_sldnf_non_ground_goal_returns_substitutions():
@@ -167,8 +174,7 @@ def test_sldnf_non_ground_goal_returns_substitutions():
         ctx g(X) <- not f(X).
         """
     )
-    prog = ground_context_program(kb, frozenset({("f", "a")}), 0, 0)
-    answers = sldnf_solve(prog, [(True, A("g", "X"))], kb=kb, lo=0, hi=0)
+    answers = sldnf_solve(kb, session_for(kb, context="f(a)."), [(True, A("g", "X"))])
     assert answers == [{"X": Const("b")}]
 
 
@@ -179,9 +185,78 @@ def test_grounding_confines_time_to_window():
         ctx reach(T) <- reach(T-1).
         """
     )
-    prog = ground_context_program(kb, frozenset({("reach", 0)}), 0, 3)
-    assert sldnf_solve(prog, [(True, Atom("reach", (Const(3),)))]) is True
+    session = session_for(kb, context="reach(0).", lo=0, hi=3)
+    assert sldnf_solve(kb, session, [(True, Atom("reach", (Const(3),)))]) is True
     check_acyclic_cb(kb, 0, 3)  # time strictly decreases: acyclic
+
+
+# ---------------------------------------------------------------------------
+# Proving on demand against grounding up front
+
+
+def _window_catoms(kb, lo, hi):
+    """Every ground c-atom whose time, if any, lies in [lo, hi]."""
+    for decl in kb.preds.values():
+        if decl.kind == "c":
+            pattern = Atom(decl.name, tuple(Var(f"_{i}") for i in range(len(decl.attribute_domains))))
+            for theta in groundings(kb, [pattern], lo, hi):
+                yield catom_key(apply_subst(pattern, {n: Const(v) for n, v in theta.items()}))
+
+
+def assert_holds_as_reference(kb, vs, rng):
+    """Each ground c-atom of the window gets the reference's bodies, in order, and truth value."""
+    atoms = list(_window_catoms(kb, vs.lo, vs.hi))
+    rng.shuffle(atoms)  # the memo fills in any order
+    solver, program = _Solver(kb, vs.context, vs.lo, vs.hi), reference_ground_program(kb, vs.lo, vs.hi)
+    holds = reference_holds(kb, vs)
+    for a in atoms:
+        assert solver.bodies(a) == program.get(a, []), a
+    assert [solver.holds(a) for a in atoms] == [holds(a) for a in atoms]
+
+
+def test_on_demand_holds_as_reference_on_cardiac(cardiac_kb):
+    rng = random.Random(17)
+    acts = ("dfib", "cpr", "lido", "atro", "epi")
+    for _ in range(12):
+        plan = " ".join(f"{a}({p}, {t})." for p in ("john", "mary") for t in range(7) for a in acts
+                        if rng.random() < 0.2)
+        assert_holds_as_reference(cardiac_kb, session_for(cardiac_kb, context=plan, lo=0, hi=6), rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(timed_kbs())
+def test_on_demand_holds_as_reference_on_timed_corpus(case):
+    text, session, _ = case
+    kb = parse_kb(text)
+    assert_holds_as_reference(kb, session_for(kb, **session), random.Random(len(text)))
+
+
+def test_guards_ground_the_same_goals_over_any_window(cardiac_kb, monkeypatch):
+    # the README plan and evidence: the guards of a 4-node network, whatever the window
+    grounded, made = [], []
+    bodies, bindings = _Solver.bodies, logic.bindings
+
+    def counted_bodies(self, goal):
+        grounded.append(goal)
+        return bodies(self, goal)
+
+    def counted_bindings(ranges):
+        for theta in bindings(ranges):
+            made.append(theta)
+            yield theta
+
+    monkeypatch.setattr(logic, "bindings", counted_bindings)
+    monkeypatch.setattr(_Solver, "bodies", counted_bodies)
+    runs = {}
+    for hi in (6, 2400):
+        del grounded[:], made[:]
+        vs = session_for(cardiac_kb, context="epi(john, 0). epi(john, 2). dfib(john, 2).",
+                         evidence="rhythm(john, 0, vf).", lo=0, hi=hi, query="rhythm(john, 3, V)")
+        ans = answer_query(cardiac_kb, vs)
+        posteriors = [[p.hex() for p in v.probabilities] for _, v in ans.instances]
+        runs[hi] = sorted(grounded), len(made), posteriors
+    assert runs[6][0] and runs[6][1]
+    assert runs[6] == runs[2400]
 
 
 # ---------------------------------------------------------------------------
