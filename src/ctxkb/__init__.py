@@ -33,7 +33,7 @@ from .lang import (
     Var,
     validate_session,
 )
-from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed, sldnf_solve, unify
+from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed, sldnf_solve
 from .netbuild import BayesNet, build_net, export_dot
 from .oracle import conditional, enumerate_joint, forward_sample, oracle_answer
 from .parser import load_atoms, load_kb, parse_atom, parse_atoms, parse_kb
@@ -95,6 +95,5 @@ __all__ = [
     "parse_atoms",
     "parse_kb",
     "sldnf_solve",
-    "unify",
     "validate_session",
 ]

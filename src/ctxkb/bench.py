@@ -41,6 +41,10 @@ class PosteriorMismatchError(CtxkbError):
     pass
 
 
+FAMILY = "painted"  # the predicate whose posterior both encodings answer and whose tables are sized
+AGREEMENT_TOL = 1e-9  # the largest posterior difference allowed between the two encodings
+
+
 def paint_context_kb() -> KnowledgeBase:
     text = resources.files("ctxkb.data").joinpath("paint.ckb").read_text(encoding="utf-8")
     return parse_kb(text, "paint.ckb")
@@ -88,7 +92,7 @@ def paint_pair(horizon: int, plan_times) -> EncodingPair:
     return EncodingPair(paint_context_kb(), paint_action_kb(horizon, plan_times), horizon)
 
 
-def measure(kb: KnowledgeBase, session: SessionInput, encoding: str, family: str) -> EncodingMetrics:
+def measure(kb: KnowledgeBase, session: SessionInput, encoding: str) -> EncodingMetrics:
     vs = validate_session(kb, session)
     t0 = time.perf_counter()
     net, subs = build_net(kb, vs)
@@ -99,7 +103,7 @@ def measure(kb: KnowledgeBase, session: SessionInput, encoding: str, family: str
         raise CtxkbError(f"benchmark query must have exactly one instance, got {len(answer.instances)}")
     by_time = {}
     for o, node in net.nodes.items():
-        if o[0] == family:
+        if o[0] == FAMILY:
             by_time[obj_time(kb, o)] = node.n_entries
     return EncodingMetrics(
         encoding=encoding,
@@ -112,31 +116,26 @@ def measure(kb: KnowledgeBase, session: SessionInput, encoding: str, family: str
     )
 
 
-def compare_encodings(
-    pair: EncodingPair,
-    plan_times,
-    query_text: str = None,
-    family: str = "painted",
-    tol: float = 1e-9,
-):
+def compare_encodings(pair: EncodingPair, plan_times):
     """Run the same projection on both encodings; returns the two metric rows.
 
     Raises PosteriorMismatchError when the encodings disagree, which would
     indicate one of them does not model the intended process.
     """
     horizon = pair.horizon
-    query_ctx = parse_atom(pair.context_kb, query_text or f"{family}(door, {horizon}, V)")
+    query_text = f"{FAMILY}(door, {horizon}, V)"
+    query_ctx = parse_atom(pair.context_kb, query_text)
     plan = tuple(
         Atom("paint", (Const("door"), Const(t))) for t in sorted(set(plan_times))
     )
     ctx_session = SessionInput(context=plan, lo=0, hi=horizon, query=query_ctx)
-    query_act = parse_atom(pair.action_kb, query_text or f"{family}(door, {horizon}, V)")
+    query_act = parse_atom(pair.action_kb, query_text)
     act_session = SessionInput(lo=0, hi=horizon, query=query_act)
 
-    m_ctx = measure(pair.context_kb, ctx_session, "context", family)
-    m_act = measure(pair.action_kb, act_session, "action_node", family)
+    m_ctx = measure(pair.context_kb, ctx_session, "context")
+    m_act = measure(pair.action_kb, act_session, "action_node")
     diff = max(abs(a - b) for a, b in zip(m_ctx.posterior, m_act.posterior))
-    if diff > tol:
+    if diff > AGREEMENT_TOL:
         raise PosteriorMismatchError(f"encodings disagree by {diff}")
     return m_ctx, m_act
 

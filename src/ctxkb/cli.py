@@ -2,14 +2,16 @@
 
 Exit codes:
     0  success
-    1  parse / input error
+    1  parse / input / usage error
     2  dependency cycle
     3  allowedness failure
     4  quantification/consistency failure or impossible evidence
     5  enumeration guard exceeded
 
-Every command runs under one handler: a ``CtxkbError`` prints one line and
-exits with the error class's ``exit_code``; an unreadable file exits 1.
+Every command runs under one handler, the one place that maps an error to an
+exit code: a ``CtxkbError`` prints one line and exits with the error class's
+``exit_code``; an unreadable file and a usage error (a missing argument, a
+bad option value) exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 import click
 
-from .errors import CtxkbError
+from .errors import ConsistencyError, CtxkbError
 from .infer import answer_on_net, answer_query
 from .lang import Atom, SessionInput, Var, atom_time, validate_session
 from .logic import check_acyclic_cb, check_acyclic_pb, check_allowed
@@ -33,12 +35,6 @@ from .relevance import build_combined_base, check_consistency
 # The time variable of a projected query: "@" starts no token, so no input can name it.
 # It sorts before every parsed variable name, so instances come out ordered by time.
 _TIME_VAR = "@t"
-
-
-def _fail(code: int, *messages):
-    for m in messages:
-        click.echo(str(m), err=True)
-    sys.exit(code)
 
 
 def _atoms(kb, path):
@@ -131,15 +127,19 @@ def _with_common(fn):
 
 
 class _Main(click.Group):
-    """Runs each command; turns an engine or file error into one line and its exit code."""
+    """Runs each command; turns a usage, engine or file error into one line and its exit code."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as e:
+            code, message = 1, f"error: {e.format_message()}"
         except CtxkbError as e:
-            _fail(e.exit_code, e)
+            code, message = e.exit_code, e
         except OSError as e:
-            _fail(1, e)
+            code, message = 1, e
+        click.echo(str(message), err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -175,7 +175,7 @@ def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
     """Answer a complete query: one posterior row per ground instance."""
     kb = load_kb(kb_path)
     if query_text is None:
-        _fail(1, "query: --query is required")
+        raise CtxkbError("query: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
     ans = answer_query(kb, session)
     _emit_instances(kb, session.query, session.lo, session.hi, {None: ans.instances}, fmt)
@@ -194,7 +194,7 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     """
     kb = load_kb(kb_path)
     if query_text is None:
-        _fail(1, "project: --query is required")
+        raise CtxkbError("project: --query is required")
     plan = _atoms(kb, plan_path)
     ctx = _atoms(kb, context_path) + plan
     ev = _atoms(kb, evidence_path)
@@ -206,7 +206,7 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     session = validate_session(kb, s)
     tp = kb.decl(base_query.pred).time_position()
     if tp is None:
-        _fail(1, f"project: query predicate {base_query.pred!r} has no time attribute")
+        raise CtxkbError(f"project: query predicate {base_query.pred!r} has no time attribute")
 
     args = list(base_query.args)
     args[tp] = Var(_TIME_VAR)
@@ -246,7 +246,7 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
     """Compare variable elimination against possible-model enumeration."""
     kb = load_kb(kb_path)
     if query_text is None:
-        _fail(1, "oracle-diff: --query is required")
+        raise CtxkbError("oracle-diff: --query is required")
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
     net, subs = build_net(kb, session)
     ans = answer_on_net(kb, session, net, subs)
@@ -254,10 +254,10 @@ def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, 
     worst = 0.0
     pairs = list(zip(ans.instances, ref))
     if len(ans.instances) != len(ref):
-        _fail(4, "instance sets differ between the two answer paths")
+        raise ConsistencyError(["instance sets differ between the two answer paths"])
     for (theta_a, vec_a), (theta_b, vec_b) in pairs:
         if theta_a != theta_b or vec_a.query_object != vec_b.query_object:
-            _fail(4, "instance ordering differs between the two answer paths")
+            raise ConsistencyError(["instance ordering differs between the two answer paths"])
         worst = max(worst, max(abs(x - y) for x, y in zip(vec_a.probabilities, vec_b.probabilities)))
     sample_note = None
     if seed is not None:
@@ -284,10 +284,10 @@ def bench(horizon, plan_times):
     try:
         times = [int(t) for t in plan_times.split(",") if t.strip() != ""]
     except ValueError:
-        _fail(1, f"bench: --plan-times {plan_times!r} is not a comma-separated list of integers")
+        raise CtxkbError(f"bench: --plan-times {plan_times!r} is not a comma-separated list of integers")
     bad = [t for t in times if not (0 <= t < horizon)]
     if bad:
-        _fail(1, f"bench: plan times {bad} outside [0, {horizon - 1}]")
+        raise CtxkbError(f"bench: plan times {bad} outside [0, {horizon - 1}]")
     pair = paint_pair(horizon, times)
     m_ctx, m_act = compare_encodings(pair, times)
     click.echo(metrics_csv([m_ctx, m_act]), nl=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import CombiningRuleError
 
-NORM_TOL = 1e-9
+NORM_TOL = 1e-9  # how far from 1 a distribution's sum may be, wherever one is checked
 
 # rule name -> the parameters it takes; the rule is the function of that name here
 RULES = {"noisy_max": ("distinguished",), "single_only": ()}

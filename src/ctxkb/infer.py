@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
+from .combining import NORM_TOL
 from .errors import ConsistencyError, CtxkbError, ImpossibleEvidenceError
 from .lang import (
     KnowledgeBase,
@@ -49,7 +50,6 @@ from .logic import ancestors
 from .netbuild import BayesNet, build_net
 from .relevance import ObjTable
 
-NORM_TOL = 1e-9
 _NON_NEGATIVE = (0.0).__le__  # false for negative entries and for NaN
 
 

@@ -1,4 +1,4 @@
-"""Unification, SLDNF over the context base, and dependency graphs.
+"""SLDNF over the context base, dependency graphs and the static checks.
 
 The context base is an acyclic normal logic program evaluated under Clark's
 completion semantics.  Sessions confine time to a finite window and all
@@ -8,10 +8,11 @@ are matched and grounded when a proof first meets it, so a query grounds
 only the goals its guards reach, whatever the window.  Goal evaluation walks
 an explicit proof stack over ground clauses, with negation as (finite)
 failure.  On an acyclic ground program this computes exactly the unique
-supported model of the completion.
-``unify`` and ``apply_subst`` work on ``Const`` terms; they serve
-``sldnf_solve``, whose substitutions keep that form.  ``topo_order`` and
-``ancestors`` are the graph walks every later stage shares.
+supported model of the completion.  Goals and clauses are held as slots
+(``lang.atom_slots``), so a ground c-atom is the plain tuple (pred, *values)
+that ``fill_slots`` builds; only ``sldnf_solve`` wraps the substitutions it
+returns in ``Const``.  ``topo_order`` and ``ancestors`` are the graph walks
+every later stage shares.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ import heapq
 from .errors import CycleError, Diagnostic, NotAllowedError
 from .lang import (
     TIME_DOMAIN,
-    Atom,
     Const,
     KnowledgeBase,
     SessionInput,
-    TimeExpr,
-    Var,
     _window_ranges,
+    atom_slots,
     bindings,
     fill_slots,
     groundings,
@@ -37,100 +36,7 @@ from .lang import (
 )
 
 # ---------------------------------------------------------------------------
-# Substitutions and unification
-
-
-def _norm(term):
-    """A zero-offset time expression is just its variable."""
-    if isinstance(term, TimeExpr) and term.offset == 0:
-        return Var(term.var)
-    return term
-
-
-def apply_term(term, subst: dict):
-    term = _norm(term)
-    if isinstance(term, Var):
-        return apply_term(subst[term.name], subst) if term.name in subst else term
-    if isinstance(term, TimeExpr):
-        if term.var in subst:
-            base = apply_term(subst[term.var], subst)
-            if isinstance(base, Const):
-                return Const(base.value + term.offset)
-            if isinstance(base, TimeExpr):
-                return _norm(TimeExpr(base.var, base.offset + term.offset))
-            if isinstance(base, Var):
-                return TimeExpr(base.name, term.offset)
-        return term
-    return term
-
-
-def apply_subst(atom: Atom, subst: dict) -> Atom:
-    return Atom(atom.pred, tuple(apply_term(t, subst) for t in atom.args))
-
-
-def compose(s1: dict, s2: dict) -> dict:
-    """s2 after s1: applying the result equals applying s1 then s2."""
-    out = {v: apply_term(t, s2) for v, t in s1.items()}
-    for v, t in s2.items():
-        if v not in out:
-            out[v] = t
-    return out
-
-
-def unify(a: Atom, b: Atom):
-    """Most general unifier of two atoms, or None.
-
-    Time expressions unify arithmetically: ``X-1`` against ``2`` binds X to 3,
-    and ``X+a`` against ``Y+b`` binds X to ``Y+(b-a)``.
-    """
-    if a.pred != b.pred or len(a.args) != len(b.args):
-        return None
-    subst: dict = {}
-    for ta, tb in zip(a.args, b.args):
-        ta = apply_term(ta, subst)
-        tb = apply_term(tb, subst)
-        s = _unify_terms(ta, tb)
-        if s is None:
-            return None
-        subst = compose(subst, s)
-    return subst
-
-
-def _unify_terms(ta, tb):
-    if isinstance(ta, Const) and isinstance(tb, Const):
-        return {} if ta.value == tb.value else None
-    if isinstance(ta, Var):
-        return _bind(ta.name, tb)
-    if isinstance(tb, Var):
-        return _bind(tb.name, ta)
-    if isinstance(ta, TimeExpr) and isinstance(tb, Const):
-        return {ta.var: Const(tb.value - ta.offset)}
-    if isinstance(tb, TimeExpr) and isinstance(ta, Const):
-        return {tb.var: Const(ta.value - tb.offset)}
-    if isinstance(ta, TimeExpr) and isinstance(tb, TimeExpr):
-        if ta.var == tb.var:
-            return {} if ta.offset == tb.offset else None
-        return {ta.var: _norm(TimeExpr(tb.var, tb.offset - ta.offset))}
-    return None
-
-
-def _bind(name: str, term):
-    if isinstance(term, Var) and term.name == name:
-        return {}
-    if isinstance(term, TimeExpr) and term.var == name:
-        return {} if term.offset == 0 else None  # X = X+k has no solution for k != 0
-    return {name: term}
-
-
-# ---------------------------------------------------------------------------
 # SLDNF evaluation
-
-
-CAtom = tuple  # ground c-atom as (pred, arg1, ..., argn)
-
-
-def catom_key(atom: Atom) -> CAtom:
-    return (atom.pred,) + tuple(t.value for t in atom.args)
 
 
 class _Solver:
@@ -145,7 +51,7 @@ class _Solver:
                 if ranges is not None:
                     self.clauses.setdefault(pred, []).append((head, body, ranges))
 
-    def bodies(self, goal: CAtom) -> list:
+    def bodies(self, goal: tuple) -> list:
         """The ground bodies of ``goal``: per clause of its predicate in text order whose head
         matches it in the window, one per binding of the body-only variables, so they come in
         the order that grounding every clause up front lists them."""
@@ -158,7 +64,7 @@ class _Solver:
                     out.append(tuple((sign, fill_slots(slots, theta)) for sign, slots in body))
         return out
 
-    def holds(self, atom: CAtom) -> bool:
+    def holds(self, atom: tuple) -> bool:
         """Truth of a ground c-atom under the completion, by an explicit proof stack.
 
         Bodies are tried in order and literals left to right, as in SLDNF.  A
@@ -192,7 +98,7 @@ class _Solver:
         return memo[atom]
 
     def proves(self, literals) -> bool:
-        """Whether every ground literal (sign, CAtom) holds."""
+        """Whether every ground literal (sign, ground c-atom) holds."""
         return all(self.holds(a) == sign for sign, a in literals)
 
 
@@ -208,15 +114,17 @@ def sldnf_solve(kb: KnowledgeBase, session, goal):
     if isinstance(session, SessionInput):
         session = validate_session(kb, session)
     solver = _Solver(kb, session.context, session.lo, session.hi)
-    lits = list(goal)
+    goal = list(goal)
+    atoms = [a for _, a in goal]
+    lits = [(sign, atom_slots(a)) for sign, a in goal]
 
     def proven(theta):
-        return solver.proves((sign, catom_key(apply_subst(a, theta))) for sign, a in lits)
+        return solver.proves((sign, fill_slots(slots, theta)) for sign, slots in lits)
 
-    if all(a.is_ground() for _, a in lits):
+    if all(a.is_ground() for a in atoms):
         return proven({})
-    thetas = groundings(kb, [a for _, a in lits], session.lo, session.hi)
-    return [theta for theta in ({n: Const(v) for n, v in t.items()} for t in thetas) if proven(theta)]
+    thetas = groundings(kb, atoms, session.lo, session.hi)
+    return [{n: Const(v) for n, v in theta.items()} for theta in thetas if proven(theta)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ from .lang import (
 )
 from .logic import _Solver, topo_order
 
-ROW_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GroundSentence:
@@ -370,12 +368,12 @@ def row_violations(table) -> list:
         bad = []
         for assignment, row in sorted(shape.rows.items()):
             s, outside = sum(row), any(p < 0 or p > 1 for p in row)
-            if abs(s - 1.0) > ROW_SUM_TOL or outside:
+            if abs(s - 1.0) > combining.NORM_TOL or outside:
                 bad.append((assignment, s, outside))
         shape.bad = bad
     violations = []
     for assignment, s, outside in shape.bad:
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        if abs(s - 1.0) > combining.NORM_TOL:
             violations.append(
                 f"row for {table.obj} at parents {dict(zip(table.parents, assignment))} "
                 f"sums to {s!r}, expected 1"

@@ -20,8 +20,7 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import ConflictingSentencesError, CtxkbError
-from ctxkb.lang import Const, obj_of, val_of
-from ctxkb.logic import apply_subst, catom_key, groundings
+from ctxkb.lang import Atom, Const, TimeExpr, Var, groundings, obj_of, val_of
 from ctxkb.parser import parse_atoms
 from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
 
@@ -345,6 +344,28 @@ def naive_ras_objs(kb, session):
                         atoms.add((s.cons[0], v))
                         changed = True
     return {o for o, _ in atoms}
+
+
+def apply_subst(atom, theta):
+    """``atom`` with each variable replaced by its ``Const`` in ``theta``, which binds them all.
+
+    A ground-only reference that works on parse trees, apart from the engine's
+    ``lang.fill_slots``: ``X`` becomes ``theta["X"]`` and ``T-1`` one less than ``theta["T"]``.
+    """
+
+    def term(t):
+        if isinstance(t, Var):
+            return theta[t.name]
+        if isinstance(t, TimeExpr):
+            return Const(theta[t.var].value + t.offset)
+        return t
+
+    return Atom(atom.pred, tuple(map(term, atom.args)))
+
+
+def catom_key(atom):
+    """A ground atom as the engine holds it: the plain tuple (pred, *values)."""
+    return (atom.pred,) + tuple(t.value for t in atom.args)
 
 
 def reference_ground_program(kb, lo, hi):

@@ -228,7 +228,7 @@ def test_criterion_8_bounding(cardiac_kb):
 def test_criterion_9_link_matrix_halving():
     horizon, plan = 3, [0]
     pair = paint_pair(horizon, plan)
-    m_ctx, m_act = compare_encodings(pair, plan, tol=1e-9)
+    m_ctx, m_act = compare_encodings(pair, plan)
     halved = 0
     for t, entries in sorted(m_ctx.entries_by_time.items()):
         if t == 0 or (t - 1) in plan:

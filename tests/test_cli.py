@@ -676,3 +676,72 @@ def test_oracle_diff_json(runner, cardiac):
     assert sorted(payload) == ["instances", "max_abs_diff"]
     assert payload["instances"] == 1
     assert 0 <= payload["max_abs_diff"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["query"], "error: Missing argument 'KB_PATH'."),
+        (["query", "{kb}", "--query", "rhythm(john, 1, V)", "--format", "xml"],
+         "error: Invalid value for '--format': 'xml' is not one of 'table', 'json'."),
+        (["query", "{kb}", "--query", "rhythm(john, 1, V)", "--to", "x"],
+         "error: Invalid value for '--to': 'x' is not a valid integer."),
+    ],
+    ids=["no-kb-path", "bad-format", "bad-to"],
+)
+def test_usage_error_is_one_stderr_line_exit_1(runner, cardiac, argv, line):
+    r = runner.invoke(main, [a.format(**cardiac) for a in argv])
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == line + "\n"
+
+
+def test_help_exit_0(runner):
+    r = runner.invoke(main, ["query", "--help"])
+    assert r.exit_code == 0
+    assert r.stdout.startswith("Usage: ")
+    assert r.stderr == ""
+
+
+def test_missing_kb_path_exit_1(runner, tmp_path):
+    missing = tmp_path / "missing.ckb"
+    r = runner.invoke(main, ["query", str(missing), "--query", "p(0, V)"])
+    assert r.exit_code == 1
+    assert r.stderr == f"[Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_project_timestep_without_an_instance_is_a_dash_row(runner, tmp_path):
+    kb = tmp_path / "one.ckb"
+    kb.write_text(
+        "value p = { no, yes }.\npred p(time).\nprob p(1, yes) = 0.5.\nprob p(1, no) = 0.5.\n"
+    )
+    plan = tmp_path / "empty.txt"
+    plan.write_text("")
+    r = runner.invoke(main, [
+        "project", str(kb), "--plan", str(plan), "--query", "p(T, V)", "--from", "0", "--to", "1",
+    ])
+    assert r.exit_code == 0, r.output
+    assert r.output == (
+        "t  bindings  no           yes        \n"
+        "0  -         -            -          \n"
+        "1  -         0.500000000  0.500000000\n"
+    )
+
+
+def test_evidence_over_a_context_predicate_exit_1(runner, tmp_path):
+    kb = tmp_path / "cq.ckb"
+    kb.write_text(
+        "value p = { no, yes }.\npred p(time).\ncpred q(time).\n"
+        "prob p(t, yes) = 0.5.\nprob p(t, no) = 0.5.\n"
+    )
+    ev = tmp_path / "ev.txt"
+    ev.write_text("q(1).\n")
+    r = runner.invoke(main, ["query", str(kb), "--evidence", str(ev), "--query", "p(1, V)"])
+    assert r.exit_code == 1
+    assert r.stderr == "error: evidence atom q(1) is not a declared p-atom\n"
+
+
+def test_query_at_a_negative_time_exit_1(runner):
+    r = runner.invoke(main, ["query", data_path("paint.ckb"), "--query", "painted(door, -1, V)"])
+    assert r.exit_code == 1
+    assert r.stderr == "error: query painted(door, -1, V) timed outside [0, 0]\n"

@@ -1,4 +1,4 @@
-"""Unification, SLDNF against a completion oracle, acyclicity, allowedness."""
+"""SLDNF against a completion oracle, on-demand grounding, acyclicity, allowedness."""
 
 import random
 
@@ -11,20 +11,27 @@ from ctxkb import (
     CycleError,
     NotAllowedError,
     SessionInput,
-    TimeExpr,
     Var,
     answer_query,
     check_acyclic_cb,
     check_acyclic_pb,
     check_allowed,
+    parse_atom,
     parse_kb,
     sldnf_solve,
-    unify,
 )
 from ctxkb import logic
-from ctxkb.logic import _Solver, apply_subst, catom_key, groundings, topo_order
+from ctxkb.lang import groundings
+from ctxkb.logic import _Solver, topo_order
 
-from conftest import reference_ground_program, reference_holds, session_for, timed_kbs
+from conftest import (
+    apply_subst,
+    catom_key,
+    reference_ground_program,
+    reference_holds,
+    session_for,
+    timed_kbs,
+)
 
 
 def A(pred, *args):
@@ -34,60 +41,6 @@ def A(pred, *args):
         return Const(x)
 
     return Atom(pred, tuple(term(x) for x in args))
-
-
-# ---------------------------------------------------------------------------
-# Unification
-
-
-def test_unify_basic():
-    theta = unify(A("p", "X", "a"), A("p", "b", "Y"))
-    assert theta == {"X": Const("b"), "Y": Const("a")}
-
-
-def test_unify_clash():
-    assert unify(A("p", "a"), A("p", "b")) is None
-    assert unify(A("p", "a"), A("q", "a")) is None
-
-
-def test_unify_time_arithmetic():
-    theta = unify(Atom("p", (TimeExpr("X", -1),)), Atom("p", (Const(2),)))
-    assert theta == {"X": Const(3)}
-    theta = unify(Atom("p", (TimeExpr("X", 2),)), Atom("p", (TimeExpr("Y", 5),)))
-    assert theta == {"X": TimeExpr("Y", 3)}
-    assert unify(Atom("p", (Var("X"),)), Atom("p", (TimeExpr("X", 1),))) is None
-    assert unify(Atom("p", (Var("X"),)), Atom("p", (TimeExpr("X", 0),))) == {}
-
-
-def test_unifier_makes_atoms_equal():
-    rng = random.Random(7)
-    variables = ["X", "Y", "Z"]
-
-    def rand_term():
-        # integer constants only: a time-typed slot never holds a symbol
-        r = rng.random()
-        if r < 0.4:
-            return Const(rng.randint(0, 3))
-        if r < 0.8:
-            return Var(rng.choice(variables))
-        return TimeExpr(rng.choice(variables), rng.randint(-2, 2))
-
-    for _ in range(500):
-        n = rng.randint(1, 3)
-        a = Atom("p", tuple(rand_term() for _ in range(n)))
-        b = Atom("p", tuple(rand_term() for _ in range(n)))
-        theta = unify(a, b)
-        if theta is not None:
-            assert apply_subst(a, theta) == apply_subst(b, theta), (a, b, theta)
-
-
-def test_unifier_is_most_general():
-    # any common ground instance must factor through the mgu
-    a = A("p", "X", "Y")
-    b = A("p", "Y", "X")
-    theta = unify(a, b)
-    ground = {"X": Const("a"), "Y": Const("a")}
-    assert apply_subst(apply_subst(a, theta), ground) == apply_subst(a, ground)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +129,36 @@ def test_sldnf_non_ground_goal_returns_substitutions():
     )
     answers = sldnf_solve(kb, session_for(kb, context="f(a)."), [(True, A("g", "X"))])
     assert answers == [{"X": Const("b")}]
+
+
+def test_sldnf_non_ground_goal_with_time_offsets():
+    # the substitutions, and their order (first occurrence, last fastest), are pinned
+    kb = parse_kb(
+        """
+        domain d = { a, b, c }.
+        cpred f(d, time).
+        cpred g(d, time).
+        ctx g(X, T) <- f(X, T-1), not f(X, T).
+        """
+    )
+    session = session_for(kb, context="f(a, 0). f(b, 1). f(c, 0). f(c, 1). f(b, 3).", lo=0, hi=3)
+
+    def solve(*lits):
+        return [
+            {n: c.value for n, c in theta.items()}
+            for theta in sldnf_solve(kb, session, [(sign, parse_atom(kb, a)) for sign, a in lits])
+        ]
+
+    # T-2 confines T to [2, 3]; g(c, 2) holds but f(c, 0) does too
+    assert solve((True, "g(X, T)"), (False, "f(X, T-2)")) == [{"X": "b", "T": 2}]
+    assert solve((True, "f(X, T-1)"), (True, "g(Y, T)")) == [
+        {"X": "a", "T": 1, "Y": "a"},
+        {"X": "b", "T": 2, "Y": "b"},
+        {"X": "b", "T": 2, "Y": "c"},
+        {"X": "c", "T": 1, "Y": "a"},
+        {"X": "c", "T": 2, "Y": "b"},
+        {"X": "c", "T": 2, "Y": "c"},
+    ]
 
 
 def test_grounding_confines_time_to_window():
@@ -328,8 +311,6 @@ def test_allowed_via_time_position():
 
 
 def test_sentence_with_out_of_window_constant_never_grounds():
-    from ctxkb.logic import groundings
-
     kb = parse_kb(
         """
         value p = { yes, no }.
@@ -352,10 +333,6 @@ def test_sentence_with_out_of_window_constant_never_grounds():
     assert sentence_groundings(0, 2) == [
         (apply_subst(kb.pb[0].cons, {}), ()),
     ]
-
-
-def test_catom_key():
-    assert catom_key(A("epi", "john", 1)) == ("epi", "john", 1)
 
 
 def test_topo_order_long_chain_and_its_loop():
