@@ -10,8 +10,8 @@ Exit codes:
 
 Every command runs under one handler, the one place that maps an error to an
 exit code: a ``CtxkbError`` prints one line and exits with the error class's
-``exit_code``; an unreadable file and a usage error (a missing argument, a
-bad option value) exit 1.
+``exit_code``; an unreadable file and a usage error (a missing command or
+argument, an unknown option, a bad option value) exit 1.
 """
 
 from __future__ import annotations
@@ -127,11 +127,18 @@ def _with_common(fn):
 
 
 class _Main(click.Group):
-    """Runs each command; turns a usage, engine or file error into one line and its exit code."""
+    """Parses and runs each command; turns a usage, engine or file error into one line and its exit code."""
+
+    def make_context(self, *args, **kwargs):
+        return self._run(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
+        return self._run(super().invoke, ctx)
+
+    @staticmethod
+    def _run(step, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return step(*args, **kwargs)
         except click.UsageError as e:
             code, message = 1, f"error: {e.format_message()}"
         except CtxkbError as e:
@@ -142,7 +149,7 @@ class _Main(click.Group):
         sys.exit(code)
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, no_args_is_help=False)  # a missing command is a usage error, not a page of help
 def main():
     """Context-sensitive temporal probabilistic knowledge bases."""
 

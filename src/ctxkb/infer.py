@@ -245,10 +245,10 @@ def _product_shape(shapes):
     return scope, cards, tuple(hows)
 
 
-def compile_plan(kb: KnowledgeBase, parents: dict, observed: frozenset, target: Obj, order=None):
+def compile_plan(kb: KnowledgeBase, parents: dict, observed: frozenset, target: Obj):
     """The plan for ``target`` on the network ``parents`` (object -> its parents), ``observed``
     its evidence objects.  Only the ancestors of the target and the evidence take part (barren
-    nodes are answer-preserving to prune).  ``order`` overrides the min-fill heuristic.
+    nodes are answer-preserving to prune); they are eliminated in min-fill order.
 
     A plan is a pair.  Its factors hold, per relevant node in object order, the
     object and None, or the evidence objects' strides and the reduced scope,
@@ -272,11 +272,7 @@ def compile_plan(kb: KnowledgeBase, parents: dict, observed: frozenset, target: 
             reduction = seen, scope, cards, strides
         factors.append((o, reduction))
         shapes.append((scope, cards))
-    keep = set() if target in observed else {target}
-    if order is None:
-        elim = min_fill_order([scope for scope, _ in shapes], keep)
-    else:
-        elim = [o for o in order if o in relevant and o not in keep and o not in observed]
+    elim = min_fill_order([scope for scope, _ in shapes], set() if target in observed else {target})
     # Factors by id, and per object the ids whose scope names it.
     # Ids only grow, so a bucket multiplies in the order of the factor list.
     live = dict(enumerate(shapes))
@@ -325,21 +321,21 @@ def run_plan(kb: KnowledgeBase, plan, nodes: dict, evidence: dict) -> Factor:
     return prod
 
 
-def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets, order=None):
+def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets):
     """Unnormalized joint factors P(target, evidence), one per target object.
 
     A structure's plans are kept in ``kb.plans`` from its second call on;
     the first call leaves an empty entry, so a one-shot run such as a
-    projection holds no plan per target.  A plan for an explicit ``order``
-    is not kept.  Each returned factor holds P(target, evidence) / 2**log2_scale.
+    projection holds no plan per target.  Each returned factor holds
+    P(target, evidence) / 2**log2_scale.
     """
     for o in evidence:
         if o not in net.nodes:
             raise CtxkbError(f"evidence object {o} is not in the network")
     parents = {o: node.parents for o, node in net.nodes.items()}
     observed = tuple(sorted(evidence))
-    plans = None  # where this call keeps its plans: none for an explicit order or a first call
-    if targets and order is None:
+    plans = None  # where this call keeps its plans: none for a first call
+    if targets:
         key = (tuple(parents.items()), observed)
         plans = kb.plans.get(key)
         if plans is None:
@@ -350,7 +346,7 @@ def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets, order=N
     for target in targets:
         plan = None if plans is None else plans.get(target)
         if plan is None:
-            plan = compile_plan(kb, parents, frozenset(observed), target, order)
+            plan = compile_plan(kb, parents, frozenset(observed), target)
             if plans is not None:
                 plans[target] = plan
         result = run_plan(kb, plan, net.nodes, evidence)
@@ -394,12 +390,10 @@ def answer_query(kb: KnowledgeBase, session) -> QueryAnswer:
     return answer_on_net(kb, session, net, subs)
 
 
-def answer_on_net(
-    kb: KnowledgeBase, session: ValidatedSession, net: BayesNet, subs, order=None
-) -> QueryAnswer:
+def answer_on_net(kb: KnowledgeBase, session: ValidatedSession, net: BayesNet, subs) -> QueryAnswer:
     slots = atom_slots(session.query)[:-1]
     targets = [fill_slots(slots, theta) for theta in subs]
-    joints = eliminate(kb, net, session.evidence, targets, order=order)
+    joints = eliminate(kb, net, session.evidence, targets)
     instances = []
     for theta, target in zip(subs, targets):
         vec = joints[target]

@@ -181,66 +181,57 @@ def match_slots(slots, ground, ranges=None):
     return theta
 
 
-@dataclass(eq=False)
-class Schema:
-    """A link matrix: the PB sentences that differ only in their constant values.
+class Rule:
+    """A context clause or a probability schema, compiled once per knowledge base.
 
-    The key is the consequent's predicate and object slots, the antecedents'
-    object slots, the value slots that hold a variable, and the guard, each
-    literal a sign and its atom's slots.  Object slots lead with the predicate.
-    Each cell is (consequent value, antecedent values, alpha), with None
-    where a value slot holds a variable.  The cells are a list, so two
-    sentences that give one cell two alphas both stay and combining reports
-    the clash.
+    A ground goal or object matches ``head``.  ``body`` holds a clause's body or a schema's
+    guard, per literal a sign and slots; ``ante`` the slots the head depends on (a schema's
+    antecedent objects, a clause's body atoms); ``typing`` the window-free ``_atom_typing`` of
+    ``atoms``; and ``free`` the variables the head leaves free, as ``order`` lists them.
     """
 
-    pred: str
-    cons: tuple  # object slots of the consequent
-    ante: tuple  # object slots of each antecedent
-    value_vars: tuple  # None if no value slot holds a variable, else shaped as a cell's values
-    context: tuple  # per guard literal: (sign, slots)
-    atoms: tuple  # the atoms of the first sentence; they type every variable of the schema
-    cells: list = field(default_factory=list)
-    typing: tuple = None  # (_atom_typing, free variables), compiled at first use
-    aligned: dict = field(default_factory=dict)  # alignment -> relevance.Cells, built at first use
-
-    def window_typing(self, kb, lo: int, hi: int):
-        """(ranges, free variables, their ranges) in [lo, hi]; None without a grounding there.
-
-        Free variables are those the consequent's object does not bind.
-        """
-        if self.typing is None:
-            typing, bound = _atom_typing(kb, self.atoms), {n for n, _ in self.cons}
-            self.typing = typing, sorted(n for n in typing[0] if n not in bound)
-        typing, free = self.typing
-        ranges = _window_ranges(typing, lo, hi)
-        return None if ranges is None else (ranges, free, [ranges[n] for n in free])
+    def __init__(self, kb, head, body, ante, atoms, order=list):
+        self.head, self.body, self.ante, self.typing = head, body, ante, _atom_typing(kb, atoms)
+        self.free = tuple(order(n for n in self.typing[0] if all(n != m for m, _ in head)))
 
 
-def compile_schemas(pb) -> dict:
+class Schema(Rule):
+    """A link matrix: the PB sentences that differ only in their constant values.
+
+    The key is the rule form's head (the consequent's object slots), body
+    (the guard) and antecedents' object slots, and the value slots that hold
+    a variable.  Object slots lead with the predicate.  Each cell is
+    (consequent value, antecedent values, alpha), with None where a value
+    slot holds a variable.  The cells are a list, so two sentences that give
+    one cell two alphas both stay and combining reports the clash.
+    """
+
+    def __init__(self, kb, atoms, head, body, ante, value_vars):
+        super().__init__(kb, head, body, ante, atoms, sorted)  # free variables vary in sorted order
+        self.value_vars = value_vars  # None if no value slot holds a variable, else shaped as a cell's values
+        self.cells, self.aligned = [], {}  # aligned: alignment -> relevance.Cells, built at first use
+
+
+def compile_schemas(kb) -> dict:
     """Consequent predicate -> its schemas, in text order of each schema's first sentence."""
     by_key: dict = {}
-    for s in pb:
+    out: dict = {}
+    for s in kb.pb:
         terms = (s.cons.args[-1],) + tuple(a.args[-1] for a in s.ante)
         values = tuple(t.value if isinstance(t, Const) else None for t in terms)
-        value_vars = None
-        if None in values:
-            names = tuple(t.name if v is None else None for t, v in zip(terms, values))
-            value_vars = (names[0], names[1:])
-        key = (
-            s.cons.pred,
+        names = tuple(None if isinstance(t, Const) else t.name for t in terms)
+        value_vars = (names[0], names[1:]) if any(names) else None
+        key = (  # a Schema's head, body and antecedents, and its value variables
             atom_slots(s.cons)[:-1],
+            tuple((sign, atom_slots(a)) for sign, a in s.context),
             tuple(atom_slots(a)[:-1] for a in s.ante),
             value_vars,
-            tuple((sign, atom_slots(a)) for sign, a in s.context),
         )
         schema = by_key.get(key)
         if schema is None:
-            schema = by_key[key] = Schema(*key, tuple(s.atoms()))
+            schema = by_key[key] = Schema(kb, s.atoms(), *key)
+            out.setdefault(s.cons.pred, []).append(schema)
         schema.cells.append((values[0], values[1:], s.alpha))
-    out: dict = {}
-    for schema in by_key.values():
-        out.setdefault(schema.pred, []).append(schema)
     return {p: tuple(schemas) for p, schemas in out.items()}
 
 
@@ -279,20 +270,21 @@ class KnowledgeBase:
     # (network structure, evidence objects) -> target -> its infer.compile_plan plan, filled by eliminate
     # from a structure's second call on (its first leaves an empty entry)
     plans: dict = field(init=False, repr=False, compare=False)
-    # head predicate -> per clause in text order: head slots, body (sign, slots), window-free typing
+    # head predicate -> its clauses' Rule forms, in text order, compiled once from cb
     clauses: dict = field(init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
 
     def __post_init__(self):
-        object.__setattr__(self, "schemas", compile_schemas(self.pb))
+        object.__setattr__(self, "schemas", compile_schemas(self))
         object.__setattr__(self, "shapes", {})
         object.__setattr__(self, "plans", {})
         object.__setattr__(self, "clauses", {})
         for c in self.cb:
             body = tuple((sign, atom_slots(a)) for sign, a in c.body)
-            typing = _atom_typing(self, [c.head] + [a for _, a in c.body])
-            self.clauses.setdefault(c.head.pred, []).append((atom_slots(c.head), body, typing))
+            atoms = [c.head] + [a for _, a in c.body]
+            rule = Rule(self, atom_slots(c.head), body, tuple(slots for _, slots in body), atoms)
+            self.clauses.setdefault(c.head.pred, []).append(rule)
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]
@@ -392,6 +384,28 @@ def bindings(ranges):
     if ranges is not None:
         for combo in itertools.product(*ranges.values()):
             yield dict(zip(ranges, combo))
+
+
+class Window(dict):
+    """A session's rule -> (ranges, free variables' ranges) in [lo, hi], None without a grounding there."""
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+
+    def __missing__(self, rule):
+        ranges = _window_ranges(rule.typing, self.lo, self.hi)
+        entry = self[rule] = None if ranges is None else (ranges, [ranges[n] for n in rule.free])
+        return entry
+
+
+def rule_bindings(rule: Rule, ground: tuple, window: Window) -> list:
+    """The bindings under which ``rule``'s head fills to ``ground`` inside ``window``'s ranges: the
+    head's match binds its variables and ``rule.free`` vary, the last fastest."""
+    entry = window[rule]
+    theta = None if entry is None else match_slots(rule.head, ground, entry[0])
+    if theta is None or not rule.free:
+        return [] if theta is None else [theta]
+    return [theta | dict(zip(rule.free, combo)) for combo in itertools.product(*entry[1])]
 
 
 def _atom_typing(kb: KnowledgeBase, atoms):

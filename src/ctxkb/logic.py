@@ -3,16 +3,19 @@
 The context base is an acyclic normal logic program evaluated under Clark's
 completion semantics.  Sessions confine time to a finite window and all
 attribute domains are finite, so it has a finite ground form, grounded on
-demand: a goal's clauses (compiled once per KB, ``KnowledgeBase.clauses``)
-are matched and grounded when a proof first meets it, so a query grounds
-only the goals its guards reach, whatever the window.  Goal evaluation walks
-an explicit proof stack over ground clauses, with negation as (finite)
-failure.  On an acyclic ground program this computes exactly the unique
-supported model of the completion.  Goals and clauses are held as slots
-(``lang.atom_slots``), so a ground c-atom is the plain tuple (pred, *values)
-that ``fill_slots`` builds; only ``sldnf_solve`` wraps the substitutions it
-returns in ``Const``.  ``topo_order`` and ``ancestors`` are the graph walks
-every later stage shares.
+demand.  Each clause is compiled once per KB into a ``lang.Rule``
+(``KnowledgeBase.clauses``), and when a proof first meets a goal,
+``lang.rule_bindings``, the routine discharge grounds schemas with, grounds
+the goal's clauses at it; so a query grounds only the goals its guards
+reach, whatever the window.  Goal evaluation walks an explicit proof stack
+over ground clauses, with negation as (finite) failure.  On an acyclic
+ground program this computes exactly the unique supported model of the
+completion.  Goals and clauses are held as slots (``lang.atom_slots``), so
+a ground c-atom is the plain tuple (pred, *values) that ``fill_slots``
+builds; only ``sldnf_solve`` wraps the substitutions it returns in
+``Const``.  ``topo_order`` and ``ancestors`` are the graph walks
+every later stage shares, and both acyclicity checks build their graphs from
+rules with one builder.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from .lang import (
     Const,
     KnowledgeBase,
     SessionInput,
+    Window,
     _window_ranges,
     atom_slots,
     bindings,
     fill_slots,
     groundings,
-    match_slots,
+    rule_bindings,
     term_slot,
     validate_session,
 )
@@ -44,25 +48,16 @@ class _Solver:
 
     def __init__(self, kb: KnowledgeBase, context, lo: int, hi: int):
         self.memo: dict = dict.fromkeys(context, True)
-        self.clauses: dict = {}  # head predicate -> (head, body, window ranges) per clause
-        for pred, clauses in kb.clauses.items():
-            for head, body, typing in clauses:
-                ranges = _window_ranges(typing, lo, hi)
-                if ranges is not None:
-                    self.clauses.setdefault(pred, []).append((head, body, ranges))
+        self.clauses = kb.clauses
+        self.window = Window(lo, hi)  # the session's ranges of every rule it grounds
 
     def bodies(self, goal: tuple) -> list:
         """The ground bodies of ``goal``: per clause of its predicate in text order whose head
         matches it in the window, one per binding of the body-only variables, so they come in
         the order that grounding every clause up front lists them."""
-        out = []
-        for head, body, ranges in self.clauses.get(goal[0], ()):
-            theta = match_slots(head, goal, ranges)
-            if theta is not None:
-                for combo in bindings({n: r for n, r in ranges.items() if n not in theta}):
-                    theta.update(combo)
-                    out.append(tuple((sign, fill_slots(slots, theta)) for sign, slots in body))
-        return out
+        rules, window = self.clauses.get(goal[0], ()), self.window
+        return [tuple((sign, fill_slots(slots, theta)) for sign, slots in rule.body)
+                for rule in rules for theta in rule_bindings(rule, goal, window)]
 
     def holds(self, atom: tuple) -> bool:
         """Truth of a ground c-atom under the completion, by an explicit proof stack.
@@ -184,17 +179,26 @@ def ancestors(parents: dict, seeds) -> set:
 # Static checks
 
 
+def _check_acyclic(by_pred: dict, lo: int, hi: int, where: str):
+    """Raise CycleError unless the graph from each rule's ground head to its ground antecedents is
+    acyclic, each rule grounded in [lo, hi] over the variables of its head and antecedents only."""
+    deps: dict = {}
+    for rule in [rule for rules in by_pred.values() for rule in rules]:
+        ranges = _window_ranges(rule.typing, lo, hi)
+        if ranges is None:
+            continue
+        names = {n for s in (rule.head, *rule.ante) for n, _ in s}
+        for theta in bindings({n: r for n, r in ranges.items() if n in names}):
+            deps.setdefault(fill_slots(rule.head, theta), set()).update(fill_slots(s, theta) for s in rule.ante)
+    topo_order(deps, where)
+
+
 def check_acyclic_cb(kb: KnowledgeBase, lo: int, hi: int):
     """Verify the grounded context base has an acyclic dependency graph.
 
     Raises CycleError with a witness cycle of ground c-atoms otherwise.
     """
-    deps: dict = {}
-    for clauses in kb.clauses.values():
-        for head, body, typing in clauses:
-            for theta in bindings(_window_ranges(typing, lo, hi)):
-                deps.setdefault(fill_slots(head, theta), set()).update(fill_slots(b, theta) for _, b in body)
-    topo_order(deps, "context base")
+    _check_acyclic(kb.clauses, lo, hi, "context base")
 
 
 def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
@@ -204,19 +208,7 @@ def check_acyclic_pb(kb: KnowledgeBase, lo: int, hi: int):
     contexts.  Works at the object level (value variants share a node), so
     each schema is grounded once over the variables of its object slots.
     """
-    deps: dict = {}
-    for schemas in kb.schemas.values():
-        for schema in schemas:
-            typing = schema.window_typing(kb, lo, hi)
-            if typing is None:
-                continue
-            ranges = typing[0]
-            names = sorted({n for s in (schema.cons, *schema.ante) for n, _ in s if n is not None})
-            for theta in bindings({n: ranges[n] for n in names}):
-                deps.setdefault(fill_slots(schema.cons, theta), set()).update(
-                    fill_slots(s, theta) for s in schema.ante
-                )
-    topo_order(deps, "probabilistic base")
+    _check_acyclic(kb.schemas, lo, hi, "probabilistic base")
 
 
 def check_allowed(kb: KnowledgeBase):

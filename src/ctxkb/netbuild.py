@@ -10,7 +10,6 @@ or evidence never enter the network.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, OutOfBoundsSupportError, QuantificationError
@@ -20,10 +19,12 @@ from .lang import (
     Obj,
     SessionInput,
     ValidatedSession,
+    Window,
     atom_slots,
     fill_slots,
     groundings,
     match_slots,
+    rule_bindings,
     validate_session,
 )
 from .logic import topo_order
@@ -123,19 +124,17 @@ def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables
     window.  From an object whose schemas all match inside, the walk follows
     their antecedents that have no table of their own.
     """
+    window = Window(lo, hi)
     stack, seen = [obj], {obj}
     while stack:
         o = stack.pop()
         for schema in kb.schemas.get(o[0], ()):
-            if match_slots(schema.cons, o) is None:
+            if match_slots(schema.head, o) is None:
                 continue
-            typing = schema.window_typing(kb, lo, hi)
-            theta = None if typing is None else match_slots(schema.cons, o, typing[0])
-            if theta is None:
+            thetas = rule_bindings(schema, o, window)
+            if not thetas:
                 return o  # matches in general, but only outside the window
-            _, free, free_ranges = typing
-            for combo in itertools.product(*free_ranges):
-                theta.update(zip(free, combo))
+            for theta in thetas:
                 for slots in schema.ante:
                     a = fill_slots(slots, theta)
                     if a not in seen and a not in tables:

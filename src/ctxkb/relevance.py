@@ -34,7 +34,7 @@ from .lang import (
     atom_slots,
     fill_slots,
     groundings,
-    match_slots,
+    rule_bindings,
 )
 from .logic import _Solver, topo_order
 
@@ -151,7 +151,7 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     """
     lo, hi = session.lo, session.hi
     solver = _Solver(kb, session.context, lo, hi)
-    typed: dict = {}  # Schema -> (ranges, free variables, their ranges) in the window, or None
+    window = solver.window
     if demand is None:
         demand = _window_objects(kb, lo, hi)
     stack = sorted(set(demand), reverse=True)
@@ -160,16 +160,8 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     while stack:
         obj = stack.pop()
         for schema in kb.schemas.get(obj[0], ()):
-            if schema not in typed:
-                typed[schema] = schema.window_typing(kb, lo, hi)
-            t = typed[schema]
-            theta = None if t is None else match_slots(schema.cons, obj, t[0])
-            if theta is None:
-                continue
-            _, free, free_ranges = t
-            for combo in itertools.product(*free_ranges):
-                theta.update(zip(free, combo))
-                context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.context)
+            for theta in rule_bindings(schema, obj, window):
+                context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.body)
                 if not solver.proves(context):
                     continue
                 objs = tuple(fill_slots(slots, theta) for slots in schema.ante)

@@ -532,6 +532,30 @@ def test_context_cycle_line_exit_2(runner, tmp_path, argv, line):
     assert r.output == line + "\n"
 
 
+# p at t needs q at t+1, which needs p at t: a cycle across time; Y occurs in the guard only
+PB_CYCLE_KB = """
+domain d = { a, b }.
+value p = { no, yes }.
+value q = { no, yes }.
+cpred on(d, time).
+pred p(time).
+pred q(time).
+prob p(T, yes) | q(T+1, yes) = 0.5 <- on(Y, T).
+prob p(T, no) | q(T+1, yes) = 0.5 <- on(Y, T).
+prob q(T, yes) | p(T-1, yes) = 0.5.
+prob q(T, no) | p(T-1, yes) = 0.5.
+"""
+
+
+def test_probabilistic_cycle_line_exit_2(runner, tmp_path):
+    kb = tmp_path / "pbcyc.ckb"
+    kb.write_text(PB_CYCLE_KB)
+    r = runner.invoke(main, ["check", str(kb), "--to", "3"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == "probabilistic base: cycle: ('p', 0) -> ('q', 1) -> ('p', 0)\n"
+
+
 def test_project_matches_query_at_each_timestep(runner, cardiac, tmp_path):
     plan = tmp_path / "plan.txt"
     plan.write_text("epi(john, 0). epi(john, 2). dfib(john, 2). lido(mary, 1). cpr(mary, 0).\n")
@@ -686,8 +710,10 @@ def test_oracle_diff_json(runner, cardiac):
          "error: Invalid value for '--format': 'xml' is not one of 'table', 'json'."),
         (["query", "{kb}", "--query", "rhythm(john, 1, V)", "--to", "x"],
          "error: Invalid value for '--to': 'x' is not a valid integer."),
+        ([], "error: Missing command."),
+        (["--bogus"], "error: No such option '--bogus'."),
     ],
-    ids=["no-kb-path", "bad-format", "bad-to"],
+    ids=["no-kb-path", "bad-format", "bad-to", "no-command", "unknown-group-option"],
 )
 def test_usage_error_is_one_stderr_line_exit_1(runner, cardiac, argv, line):
     r = runner.invoke(main, [a.format(**cardiac) for a in argv])
@@ -697,10 +723,11 @@ def test_usage_error_is_one_stderr_line_exit_1(runner, cardiac, argv, line):
 
 
 def test_help_exit_0(runner):
-    r = runner.invoke(main, ["query", "--help"])
-    assert r.exit_code == 0
-    assert r.stdout.startswith("Usage: ")
-    assert r.stderr == ""
+    for argv in (["query", "--help"], ["--help"]):
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 0
+        assert r.stdout.startswith("Usage: ")
+        assert r.stderr == ""
 
 
 def test_missing_kb_path_exit_1(runner, tmp_path):

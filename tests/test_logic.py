@@ -214,21 +214,38 @@ def test_on_demand_holds_as_reference_on_timed_corpus(case):
     assert_holds_as_reference(kb, session_for(kb, **session), random.Random(len(text)))
 
 
+def test_body_only_variables_ground_in_first_occurrence_order():
+    # Y occurs before B, which sorts first: bodies list Y's values outermost, as grounding up front does
+    kb = parse_kb(
+        """
+        domain d = { a, b }.
+        cpred f(d, time).
+        cpred g(d, d, time).
+        cpred h(d, d).
+        ctx f(X, T) <- g(X, Y, T), not h(Y, B).
+        """
+    )
+    vs = session_for(kb, context="g(a, a, 0). g(a, b, 1). h(b, a).", lo=0, hi=1)
+    assert [b[1][1][1:] for b in _Solver(kb, vs.context, 0, 1).bodies(("f", "a", 1))] == [
+        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert_holds_as_reference(kb, vs, random.Random(3))
+
+
 def test_guards_ground_the_same_goals_over_any_window(cardiac_kb, monkeypatch):
     # the README plan and evidence: the guards of a 4-node network, whatever the window
     grounded, made = [], []
-    bodies, bindings = _Solver.bodies, logic.bindings
+    bodies, rule_bindings = _Solver.bodies, logic.rule_bindings
 
     def counted_bodies(self, goal):
         grounded.append(goal)
         return bodies(self, goal)
 
-    def counted_bindings(ranges):
-        for theta in bindings(ranges):
-            made.append(theta)
-            yield theta
+    def counted_rule_bindings(rule, goal, window):
+        thetas = rule_bindings(rule, goal, window)
+        made.extend(thetas)
+        return thetas
 
-    monkeypatch.setattr(logic, "bindings", counted_bindings)
+    monkeypatch.setattr(logic, "rule_bindings", counted_rule_bindings)
     monkeypatch.setattr(_Solver, "bodies", counted_bodies)
     runs = {}
     for hi in (6, 2400):

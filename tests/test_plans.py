@@ -189,25 +189,16 @@ def test_a_query_without_instances_stores_no_plan():
     assert kb.plans == {}
 
 
-def test_an_explicit_order_is_not_stored():
-    kb = parse_kb(CARDIAC_TEXT)
-    vs = session_for(kb, evidence="rhythm(john, 0, vf).", context="epi(john, 0).", lo=0, hi=2,
-                     query="cd(john, 2, V)")
-    net, subs = build_net(kb, vs)
-    answer_on_net(kb, vs, net, subs, order=list(reversed(net.order)))
-    assert kb.plans == {}
-
-
 # ---------------------------------------------------------------------------
 # Bit for bit against per-target bucket elimination
 
 
-def assert_same_as_buckets(kb, vs, order=None):
+def assert_same_as_buckets(kb, vs):
     net, subs = build_net(kb, vs)
     targets = [vec.query_object for _, vec in answer_on_net(kb, vs, net, subs).instances]
     for _ in range(2):  # a plan miss, then a hit
-        got = eliminate(kb, net, vs.evidence, targets, order=order)
-        want = bucket_eliminate(kb, net, vs.evidence, targets, order=order)
+        got = eliminate(kb, net, vs.evidence, targets)
+        want = bucket_eliminate(kb, net, vs.evidence, targets)
         assert list(got) == list(want) == targets
         for t in targets:
             g, w = got[t], want[t]
@@ -242,8 +233,6 @@ def test_plans_match_buckets_on_cardiac(context, evidence, hi, query):
     kb = parse_kb(CARDIAC_TEXT)
     vs = session_for(kb, context=context, evidence=evidence, lo=0, hi=hi, query=query)
     assert assert_same_as_buckets(kb, vs) > 0
-    net, _ = build_net(kb, vs)
-    assert_same_as_buckets(kb, vs, order=list(reversed(net.order)))
 
 
 def test_plans_match_buckets_on_paint_horizon_2000(paint_kb):

@@ -49,6 +49,28 @@ def gs(cons, ante, alpha):
     return GroundSentence(cons, frozenset(ante), alpha)
 
 
+def test_discharge_grounds_free_variables_in_sorted_order():
+    # Y occurs before B, but B sorts first: a schema's records list B's values outermost
+    kb = parse_kb(
+        """
+        domain d = { a, b }.
+        value p = { no, yes }.
+        value q = { no, yes }.
+        cpred c(d, time).
+        pred p(time).
+        pred q(d, time).
+        prob q(Y, t, yes) = 0.5.
+        prob q(Y, t, no) = 0.5.
+        prob p(t, yes) | q(Y, t, yes) = 0.5 <- c(B, t).
+        prob p(t, no) | q(Y, t, yes) = 0.5 <- c(B, t).
+        """
+    )
+    vs = session_for(kb, context="c(a, 1). c(b, 1).", lo=0, hi=1)
+    records = discharge_contexts(kb, vs, {("p", 1)})
+    assert [(parents, context) for obj, parents, context, _ in records if obj == ("p", 1)] == [
+        ((("q", y, 1),), ((True, ("c", b, 1)),)) for b in "ab" for y in "ab"]
+
+
 def test_discharge_selects_matching_context(kb):
     vs = session_for(kb, lo=0, hi=1)
     got = ground_sentences(discharge_contexts(kb, vs))
