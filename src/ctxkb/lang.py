@@ -272,6 +272,10 @@ class KnowledgeBase:
     plans: dict = field(init=False, repr=False, compare=False)
     # head predicate -> its clauses' Rule forms, in text order, compiled once from cb
     clauses: dict = field(init=False, repr=False, compare=False)
+    # the lang.Window of the latest session window (None until one): each rule's ranges and each
+    # reached object's discharge records there, guards unproven, so it holds nothing from a session;
+    # a session over another window replaces it, so it holds one window's objects at most
+    window: Window = field(default=None, init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
 
@@ -285,6 +289,14 @@ class KnowledgeBase:
             atoms = [c.head] + [a for _, a in c.body]
             rule = Rule(self, atom_slots(c.head), body, tuple(slots for _, slots in body), atoms)
             self.clauses.setdefault(c.head.pred, []).append(rule)
+
+    def window_for(self, lo: int, hi: int) -> Window:
+        """The store of [lo, hi]: the latest window's is kept, another replaces it."""
+        window = self.window
+        if window is None or window.lo != lo or window.hi != hi:
+            window = Window(lo, hi)
+            object.__setattr__(self, "window", window)
+        return window
 
     def decl(self, name: str) -> PredicateDecl:
         return self.preds[name]
@@ -334,18 +346,8 @@ def obj_of(atom: Atom) -> Obj:
     return (atom.pred,) + tuple(a.value for a in atom.args[:-1])
 
 
-def val_of(atom: Atom) -> ConstValue:
-    return atom.args[-1].value
-
-
 def atom_of(obj: Obj, value: ConstValue) -> Atom:
     return Atom(obj[0], tuple(Const(c) for c in obj[1:]) + (Const(value),))
-
-
-def ext(kb: KnowledgeBase, atom: Atom) -> tuple:
-    """All value-variants of a ground p-atom, in declared value order."""
-    o = obj_of(atom)
-    return tuple(atom_of(o, v) for v in kb.val(atom.pred))
 
 
 def obj_time(kb: KnowledgeBase, obj: Obj) -> Optional[int]:
@@ -387,10 +389,15 @@ def bindings(ranges):
 
 
 class Window(dict):
-    """A session's rule -> (ranges, free variables' ranges) in [lo, hi], None without a grounding there."""
+    """What grounding in [lo, hi] yields from the KB alone, whatever the session's context or evidence.
+
+    As a dict: rule -> (ranges, free variables' ranges), None without a grounding
+    there.  ``objects``: ground object -> its ``relevance.discharge_contexts``
+    records, one per schema grounding, guards filled but not proven.
+    """
 
     def __init__(self, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi, self.objects = lo, hi, {}
 
     def __missing__(self, rule):
         ranges = _window_ranges(rule.typing, self.lo, self.hi)

@@ -28,7 +28,6 @@ from .lang import (
     Const,
     KnowledgeBase,
     SessionInput,
-    Window,
     _window_ranges,
     atom_slots,
     bindings,
@@ -49,7 +48,7 @@ class _Solver:
     def __init__(self, kb: KnowledgeBase, context, lo: int, hi: int):
         self.memo: dict = dict.fromkeys(context, True)
         self.clauses = kb.clauses
-        self.window = Window(lo, hi)  # the session's ranges of every rule it grounds
+        self.window = kb.window_for(lo, hi)  # the KB's ranges of every rule it grounds
 
     def bodies(self, goal: tuple) -> list:
         """The ground bodies of ``goal``: per clause of its predicate in text order whose head
@@ -93,8 +92,12 @@ class _Solver:
         return memo[atom]
 
     def proves(self, literals) -> bool:
-        """Whether every ground literal (sign, ground c-atom) holds."""
-        return all(self.holds(a) == sign for sign, a in literals)
+        """Whether every ground literal (sign, ground c-atom) holds, tried left to right."""
+        memo = self.memo
+        for sign, a in literals:
+            if (memo[a] if a in memo else self.holds(a)) != sign:
+                return False
+        return True
 
 
 def sldnf_solve(kb: KnowledgeBase, session, goal):

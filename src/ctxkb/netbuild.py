@@ -19,7 +19,6 @@ from .lang import (
     Obj,
     SessionInput,
     ValidatedSession,
-    Window,
     atom_slots,
     fill_slots,
     groundings,
@@ -54,11 +53,6 @@ def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
     out = [(theta, fill_slots(slots, theta)) for theta in groundings(kb, [pattern], lo, hi)]
     out.sort(key=lambda pair: sorted(pair[0].items()))
     return out
-
-
-def query_obj(query: Atom, theta: dict) -> Obj:
-    """The query's object under bindings ``theta``."""
-    return fill_slots(atom_slots(query)[:-1], theta)
 
 
 def build_net(kb: KnowledgeBase, session):
@@ -101,7 +95,7 @@ def assemble_net(
         reached.add(obj)
         table = base.tables.get(obj)
         if table is None:
-            outside = _support_out_of_window(kb, obj, session.lo, session.hi, base.tables)
+            outside = _support_out_of_window(kb, obj, kb.window_for(session.lo, session.hi), base.tables)
             if outside is not None:
                 raise OutOfBoundsSupportError(outside)
         else:
@@ -117,14 +111,13 @@ def assemble_net(
     return BayesNet({o: base.tables[o] for o in order}, tuple(order)), [theta for theta, _ in instances]
 
 
-def _support_out_of_window(kb: KnowledgeBase, obj: Obj, lo: int, hi: int, tables) -> Obj | None:
-    """The object whose support leaves [lo, hi] on the way back from unsupported ``obj``, or None.
+def _support_out_of_window(kb: KnowledgeBase, obj: Obj, window, tables) -> Obj | None:
+    """The object whose support leaves ``window`` on the way back from unsupported ``obj``, or None.
 
     An object qualifies if some schema matches it, but only outside the
     window.  From an object whose schemas all match inside, the walk follows
     their antecedents that have no table of their own.
     """
-    window = Window(lo, hi)
     stack, seen = [obj], {obj}
     while stack:
         o = stack.pop()

@@ -123,19 +123,6 @@ def conditional(joint: JointDistribution, query_obj: Obj, evidence: dict, kb: Kn
     return PosteriorVector(query_obj, tuple(mass[v] / p_e for v in values))
 
 
-def satisfaction_gap(joint: JointDistribution, base: CombinedBase) -> float:
-    """Max violation of P(A0, ante) = alpha * P(ante) over all combined sentences."""
-    worst = 0.0
-    for s in base.sentences():
-        ante = dict(s.ante)
-        p_ante = joint.prob(ante)
-        both = dict(ante)
-        both[s.cons[0]] = s.cons[1]
-        p_both = joint.prob(both)
-        worst = max(worst, abs(p_both - s.alpha * p_ante))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Forward (rejection) sampling
 

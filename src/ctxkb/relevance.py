@@ -14,6 +14,12 @@ antecedent objects in sorted order, ``context`` is the proven ground guard,
 and each cell is ``(value, parent values, alpha)``.  Objects are plain
 tuples and sort as tuples, so a table's parent order is the same at every
 timestep.
+
+A record depends on the session only through the truth of its guard.  The
+KB's window store (``lang.Window``, kept for the latest window in
+``KnowledgeBase.window``) holds each reached object's records, guards filled
+but unproven, so a session over a window seen before only walks the demand
+and proves guards.
 """
 
 from __future__ import annotations
@@ -114,14 +120,6 @@ class ObjTable:
 class CombinedBase:
     tables: dict = field(default_factory=dict)  # Obj -> ObjTable
 
-    def sentences(self):
-        """Flat ground-sentence view of all complete rows."""
-        for table in self.tables.values():
-            for assignment, row in sorted(table.rows.items()):
-                ante = frozenset(zip(table.parents, assignment))
-                for v, alpha in zip(table.values, row):
-                    yield GroundSentence((table.obj, v), ante, alpha)
-
 
 # ---------------------------------------------------------------------------
 # Context discharge
@@ -141,17 +139,17 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     """One record per schema grounding the demanded objects reach whose guard holds.
 
     A backward walk from ``demand``, a set of ground objects (every ground
-    p-object in the window when None).  Each object is matched once against
-    each schema of its predicate; the remaining variables are grounded over
-    their ranges, the guard is proven once per grounding, and the coherent
-    cells of the grounding become one ``(obj, parents, context, cells)``
-    record.  The parents of each record join the walk, so the records cover
-    every demanded object and its ancestors: all that the relevant set and
-    the combined tables of those objects depend on.
+    p-object in the window when None).  Each object's records come from the
+    KB's window store (``_object_records``, built at the object's first
+    visit in the window); the walk proves each record's guard, in order, and
+    keeps the proven records with coherent cells.  Their parents join the
+    walk, so the records cover every demanded object and its ancestors: all
+    that the relevant set and the combined tables of those objects depend on.
     """
     lo, hi = session.lo, session.hi
     solver = _Solver(kb, session.context, lo, hi)
     window = solver.window
+    objects = window.objects
     if demand is None:
         demand = _window_objects(kb, lo, hi)
     stack = sorted(set(demand), reverse=True)
@@ -159,29 +157,43 @@ def discharge_contexts(kb: KnowledgeBase, session: ValidatedSession, demand=None
     out = []
     while stack:
         obj = stack.pop()
-        for schema in kb.schemas.get(obj[0], ()):
-            for theta in rule_bindings(schema, obj, window):
-                context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.body)
-                if not solver.proves(context):
-                    continue
-                objs = tuple(fill_slots(slots, theta) for slots in schema.ante)
-                parents = objs if len(objs) < 2 else tuple(sorted(set(objs)))
-                key = None  # the alignment; None when the antecedents are the parents in order
-                if schema.value_vars or parents != objs:
-                    cons_var, ante_vars = schema.value_vars or (None, ())
-                    values = tuple(theta[n] for n in (cons_var, *ante_vars) if n)
-                    key = tuple(map(parents.index, objs)), values
-                cells = schema.aligned.get(key)
-                if cells is None:
-                    cells = schema.aligned[key] = _ground_cells(schema, theta, objs, parents)
-                if not cells:
-                    continue
-                out.append((obj, parents, context, cells))
-                for o in parents:
-                    if o not in seen:
-                        seen.add(o)
-                        stack.append(o)
+        records = objects.get(obj)
+        if records is None:
+            records = objects[obj] = _object_records(kb, obj, window)
+        for rec in records:
+            if not solver.proves(rec[2]) or not rec[3]:
+                continue
+            out.append(rec)
+            for o in rec[1]:
+                if o not in seen:
+                    seen.add(o)
+                    stack.append(o)
     return out
+
+
+def _object_records(kb: KnowledgeBase, obj, window) -> tuple:
+    """``obj``'s ``(obj, parents, context, cells)`` per schema grounding in ``window``, its guard unproven.
+
+    ``obj`` is matched once against each schema of its predicate and the
+    remaining variables are grounded over their ranges; ``parents`` are the
+    distinct antecedent objects, sorted.  Nothing here depends on a session.
+    """
+    out = []
+    for schema in kb.schemas.get(obj[0], ()):
+        for theta in rule_bindings(schema, obj, window):
+            context = tuple((sign, fill_slots(slots, theta)) for sign, slots in schema.body)
+            objs = tuple(fill_slots(slots, theta) for slots in schema.ante)
+            parents = objs if len(objs) < 2 else tuple(sorted(set(objs)))
+            key = None  # the alignment; None when the antecedents are the parents in order
+            if schema.value_vars or parents != objs:
+                cons_var, ante_vars = schema.value_vars or (None, ())
+                values = tuple(theta[n] for n in (cons_var, *ante_vars) if n)
+                key = tuple(map(parents.index, objs)), values
+            cells = schema.aligned.get(key)
+            if cells is None:
+                cells = schema.aligned[key] = _ground_cells(schema, theta, objs, parents)
+            out.append((obj, parents, context, cells))
+    return tuple(out)
 
 
 def _ground_cells(schema, theta, objs, parents) -> Cells:
@@ -193,15 +205,16 @@ def _ground_cells(schema, theta, objs, parents) -> Cells:
     """
     at = [objs.index(o) for o in parents]  # each parent's first antecedent position
     repeats = [(i, j) for i, j in enumerate(map(objs.index, objs)) if i != j]
+    same = parents == objs  # already aligned
     cons_var, ante_vars = schema.value_vars or (None, ())
     cells = []
     for value, values, alpha in schema.cells:
         if schema.value_vars:  # fill the variable value slots from theta
             value = theta[cons_var] if cons_var else value
             values = tuple(theta[n] if n else v for n, v in zip(ante_vars, values))
-        if any(values[i] != values[j] for i, j in repeats):
+        if repeats and any(values[i] != values[j] for i, j in repeats):
             continue  # incoherent: two values for one object; it can never hold
-        cells.append((value, tuple(values[i] for i in at), alpha))
+        cells.append((value, values if same else tuple(values[i] for i in at), alpha))
     return Cells(cells)
 
 

@@ -20,7 +20,7 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import ConflictingSentencesError, CtxkbError
-from ctxkb.lang import Atom, Const, TimeExpr, Var, groundings, obj_of, val_of
+from ctxkb.lang import Atom, Const, TimeExpr, Var, atom_of, atom_slots, fill_slots, groundings, obj_of
 from ctxkb.parser import parse_atoms
 from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
 
@@ -58,6 +58,38 @@ def outcome(kb, session):
         (sorted(theta.items()), vec.query_object, [p.hex() for p in vec.probabilities])
         for theta, vec in ans.instances
     ]
+
+
+# ---------------------------------------------------------------------------
+# Ground-atom helpers that only tests need
+
+
+def val_of(atom):
+    return atom.args[-1].value
+
+
+def ext(kb, atom):
+    """All value-variants of a ground p-atom, in declared value order."""
+    o = obj_of(atom)
+    return tuple(atom_of(o, v) for v in kb.val(atom.pred))
+
+
+def query_obj(query, theta):
+    """The query's object under bindings ``theta``."""
+    return fill_slots(atom_slots(query)[:-1], theta)
+
+
+def satisfaction_gap(joint, base):
+    """Max violation of P(A0, ante) = alpha * P(ante) over every complete row of ``base``."""
+    worst = 0.0
+    for table in base.tables.values():
+        for assignment, row in sorted(table.rows.items()):
+            ante = dict(zip(table.parents, assignment))
+            p_ante = joint.prob(ante)
+            for v, alpha in zip(table.values, row):
+                p_both = joint.prob({**ante, table.obj: v})
+                worst = max(worst, abs(p_both - alpha * p_ante))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from ctxkb.errors import (
 from ctxkb.infer import Entries, Factor, _rescale, answer_on_net, cpt_factor, eliminate, min_fill_order
 from ctxkb.lang import KnowledgeBase, Obj
 from ctxkb.logic import ancestors
-from ctxkb.netbuild import BayesNet, query_obj
+from ctxkb.netbuild import BayesNet
 from ctxkb.relevance import ObjTable
 
 from bucket import marginalize, multiply, reduce
-from conftest import session_for, timed_kbs
+from conftest import query_obj, session_for, timed_kbs
 
 
 def reference_min_fill_order(scopes, keep):

@@ -20,10 +20,10 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
-from ctxkb.lang import atom_of, ext, obj_of, val_of
+from ctxkb.lang import atom_of, obj_of
 from ctxkb.parser import _diagnostic, parse_atoms, tokenize
 
-from conftest import data_path
+from conftest import data_path, ext, val_of
 
 BASIC = """
 domain person = { john, mary }.

@@ -18,10 +18,9 @@ from ctxkb import (
 from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError, QuantificationError
 from ctxkb.logic import ancestors, topo_order
 from ctxkb.netbuild import query_instances
-from ctxkb.oracle import satisfaction_gap
 from ctxkb.relevance import build_combined_base
 
-from conftest import random_kb, session_for
+from conftest import random_kb, satisfaction_gap, session_for
 
 CHAIN = """
 domain d = { a }.
