@@ -39,7 +39,6 @@ from .oracle import conditional, enumerate_joint, forward_sample, oracle_answer
 from .parser import load_atoms, load_kb, parse_atom, parse_atoms, parse_kb
 from .relevance import (
     CombinedBase,
-    GroundSentence,
     RelevantAtomSet,
     build_combined_base,
     compute_ras,
@@ -60,7 +59,6 @@ __all__ = [
     "CycleError",
     "Diagnostic",
     "EnumerationGuardError",
-    "GroundSentence",
     "ImpossibleEvidenceError",
     "KnowledgeBase",
     "NotAllowedError",

@@ -116,8 +116,8 @@ _common = [
     click.option("--query", "query_text", default=None, help="Query atom text."),
     click.option("--from", "frm", type=int, default=None, help="Lower time bound."),
     click.option("--to", "to", type=int, default=None, help="Upper time bound."),
-    click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table"),
 ]
+_format = click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 
 
 def _with_common(fn):
@@ -158,7 +158,7 @@ def main():
 @click.argument("kb_path", type=click.Path())
 @click.option("--from", "frm", type=int, default=0)
 @click.option("--to", "to", type=int, default=0)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_format
 def check(kb_path, frm, to, fmt):
     """Validate a knowledge base: parse, acyclicity, allowedness, consistency."""
     kb = load_kb(kb_path)
@@ -178,6 +178,7 @@ def check(kb_path, frm, to, fmt):
 @main.command()
 @click.argument("kb_path", type=click.Path())
 @_with_common
+@_format
 def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
     """Answer a complete query: one posterior row per ground instance."""
     kb = load_kb(kb_path)
@@ -193,6 +194,7 @@ def query(kb_path, context_path, evidence_path, query_text, frm, to, fmt):
 @click.option("--plan", "plan_path", type=click.Path(), required=True,
               help="File of timed context atoms (the actions).")
 @_with_common
+@_format
 def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan_path):
     """Project a plan: answer the query at every timestep in the bounds.
 
@@ -229,7 +231,7 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
 @click.argument("kb_path", type=click.Path())
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Output file (default stdout).")
 @_with_common
-def export_dot_cmd(kb_path, context_path, evidence_path, query_text, frm, to, fmt, out_path):
+def export_dot_cmd(kb_path, context_path, evidence_path, query_text, frm, to, out_path):
     """Export the supporting network as a DOT graph."""
     kb = load_kb(kb_path)
     session = _session(kb, context_path, evidence_path, query_text, frm, to)
@@ -245,10 +247,11 @@ def export_dot_cmd(kb_path, context_path, evidence_path, query_text, frm, to, fm
 
 @main.command("oracle-diff")
 @click.argument("kb_path", type=click.Path())
-@click.option("--guard", type=int, default=DEFAULT_GUARD, help="Enumeration work bound.")
+@click.option("--guard", type=click.IntRange(min=0), default=DEFAULT_GUARD, help="Enumeration work bound.")
 @click.option("--seed", type=int, default=None,
               help="Also cross-check with forward sampling at this seed.")
 @_with_common
+@_format
 def oracle_diff(kb_path, context_path, evidence_path, query_text, frm, to, fmt, guard, seed):
     """Compare variable elimination against possible-model enumeration."""
     kb = load_kb(kb_path)

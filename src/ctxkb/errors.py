@@ -11,19 +11,18 @@ class Diagnostic:
     """One problem found in an input file or knowledge base.
 
     Without a ``file`` it has no location (a session or whole-KB check), and
-    prints as ``<severity>: <message>``.
+    prints as ``error: <message>``.
     """
 
     message: str
     file: Optional[str] = None
     line: int = 0
     col: int = 0
-    severity: str = "error"
 
     def __str__(self) -> str:
         if self.file is None:
-            return f"{self.severity}: {self.message}"
-        return f"{self.file}:{self.line}:{self.col}: {self.severity}: {self.message}"
+            return f"error: {self.message}"
+        return f"{self.file}:{self.line}:{self.col}: error: {self.message}"
 
 
 class CtxkbError(Exception):

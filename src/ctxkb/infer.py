@@ -12,12 +12,13 @@ order.
 What elimination does for a target (relevant nodes, min-fill order, which
 factors each step multiplies and how their axes line up) depends only on
 each node's object and parents, the evidence objects and the target.
-``compile_plan`` works it out; ``KnowledgeBase.plans`` keeps the plan under
-the structure and the sorted evidence objects, then the target, from the
-structure's second call on.  A plan holds no table, entry or evidence value,
-so the store grows with distinct structures (query × window × evidence
-objects), not with action plans or sessions.  ``run_plan`` applies it to one
-session's tables.
+``compile_plan`` works it out; the plans of the KB's window store
+(``lang.Window.plans``) keep it under the structure and the sorted evidence
+objects, then the target, from the structure's second call on, and go with
+the window.  A plan holds no table, entry or evidence value, so the store
+grows with distinct structures (query × evidence objects in one window), not
+with action plans or sessions.  ``run_plan`` applies it to one session's
+tables.
 
 A factor is a flat row-major list of floats in plain Python.  The factors of
 a supporting network are small (tens to a few thousand entries), so a numpy
@@ -324,10 +325,10 @@ def run_plan(kb: KnowledgeBase, plan, nodes: dict, evidence: dict) -> Factor:
 def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets):
     """Unnormalized joint factors P(target, evidence), one per target object.
 
-    A structure's plans are kept in ``kb.plans`` from its second call on;
-    the first call leaves an empty entry, so a one-shot run such as a
-    projection holds no plan per target.  Each returned factor holds
-    P(target, evidence) / 2**log2_scale.
+    A structure's plans are kept in the plans of ``kb.window``, the window the
+    network was built in, from its second call on; the first call leaves an
+    empty entry, so a one-shot run such as a projection holds no plan per
+    target.  Each returned factor holds P(target, evidence) / 2**log2_scale.
     """
     for o in evidence:
         if o not in net.nodes:
@@ -336,12 +337,12 @@ def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets):
     observed = tuple(sorted(evidence))
     plans = None  # where this call keeps its plans: none for a first call
     if targets:
-        key = (tuple(parents.items()), observed)
-        plans = kb.plans.get(key)
+        store, key = kb.window.plans, (tuple(parents.items()), observed)
+        plans = store.get(key)
         if plans is None:
-            kb.plans[key] = ()
+            store[key] = ()
         elif not plans:
-            plans = kb.plans[key] = {}
+            plans = store[key] = {}
     out = {}
     for target in targets:
         plan = None if plans is None else plans.get(target)

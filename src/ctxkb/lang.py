@@ -267,14 +267,11 @@ class KnowledgeBase:
     schemas: dict = field(init=False, repr=False, compare=False)
     # shape key -> relevance.Shape: the combined tables of every session, filled by combine_rpb
     shapes: dict = field(init=False, repr=False, compare=False)
-    # (network structure, evidence objects) -> target -> its infer.compile_plan plan, filled by eliminate
-    # from a structure's second call on (its first leaves an empty entry)
-    plans: dict = field(init=False, repr=False, compare=False)
     # head predicate -> its clauses' Rule forms, in text order, compiled once from cb
     clauses: dict = field(init=False, repr=False, compare=False)
-    # the lang.Window of the latest session window (None until one): each rule's ranges and each
-    # reached object's discharge records there, guards unproven, so it holds nothing from a session;
-    # a session over another window replaces it, so it holds one window's objects at most
+    # the lang.Window of the latest session window (None until one): each rule's ranges, each reached
+    # object's discharge records there, guards unproven, and the elimination plans of its networks, so
+    # it holds nothing from a session; a session over another window replaces it, plans and all
     window: Window = field(default=None, init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
@@ -282,7 +279,6 @@ class KnowledgeBase:
     def __post_init__(self):
         object.__setattr__(self, "schemas", compile_schemas(self))
         object.__setattr__(self, "shapes", {})
-        object.__setattr__(self, "plans", {})
         object.__setattr__(self, "clauses", {})
         for c in self.cb:
             body = tuple((sign, atom_slots(a)) for sign, a in c.body)
@@ -314,36 +310,9 @@ class KnowledgeBase:
             return self.domains[d.value_domain]
         return self.domains[d.attribute_domains[i]]
 
-    def pretty(self) -> str:
-        out = []
-        for dom in self.domains.values():
-            if dom.name == TIME_DOMAIN:
-                continue
-            kw = "value" if self._is_value_domain(dom.name) else "domain"
-            out.append(f"{kw} {dom.name} = {{ {', '.join(str(m) for m in dom.members)} }}.")
-        for p in self.preds.values():
-            kw = "pred" if p.kind == "p" else "cpred"
-            out.append(f"{kw} {p.name}({', '.join(p.attribute_domains)}).")
-        for name, (rule, params) in sorted(self.cr.items()):
-            ps = ""
-            if params:
-                ps = "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-            out.append(f"combine {name} with {rule}{ps}.")
-        out.extend(str(c) for c in self.cb)
-        out.extend(str(s) for s in self.pb)
-        return "\n".join(out) + "\n"
-
-    def _is_value_domain(self, name: str) -> bool:
-        return any(p.value_domain == name for p in self.preds.values())
-
 
 # ---------------------------------------------------------------------------
 # Ground-atom helpers
-
-
-def obj_of(atom: Atom) -> Obj:
-    """Random-variable identity of a ground p-atom: predicate plus all but the value."""
-    return (atom.pred,) + tuple(a.value for a in atom.args[:-1])
 
 
 def atom_of(obj: Obj, value: ConstValue) -> Atom:
@@ -393,11 +362,14 @@ class Window(dict):
 
     As a dict: rule -> (ranges, free variables' ranges), None without a grounding
     there.  ``objects``: ground object -> its ``relevance.discharge_contexts``
-    records, one per schema grounding, guards filled but not proven.
+    records, one per schema grounding, guards filled but not proven.  ``plans``:
+    (network structure, evidence objects) -> target -> its ``infer.compile_plan``
+    plan, filled by ``infer.eliminate`` from a structure's second call on (its
+    first leaves an empty entry).
     """
 
     def __init__(self, lo: int, hi: int):
-        self.lo, self.hi, self.objects = lo, hi, {}
+        self.lo, self.hi, self.objects, self.plans = lo, hi, {}, {}
 
     def __missing__(self, rule):
         ranges = _window_ranges(rule.typing, self.lo, self.hi)

@@ -148,15 +148,11 @@ def node_label(kb: KnowledgeBase, obj: Obj) -> str:
     return head if tp is None else f"{head}@{t}"
 
 
-def export_dot(net: BayesNet, kb: KnowledgeBase = None) -> str:
-    """Deterministic DOT rendering: one vertex per node, one edge per link."""
-
-    def label(o):
-        return node_label(kb, o) if kb is not None else str(o)
-
+def export_dot(net: BayesNet, kb: KnowledgeBase) -> str:
+    """Deterministic DOT rendering: one vertex per node, one edge per link, labelled by ``node_label``."""
     lines = ["digraph supporting_network {"]
-    lines += [f'  "{label(o)}";' for o in sorted(net.nodes)]
+    lines += [f'  "{node_label(kb, o)}";' for o in sorted(net.nodes)]
     edges = sorted((p, o) for o, node in net.nodes.items() for p in node.parents)
-    lines += [f'  "{label(p)}" -> "{label(o)}";' for p, o in edges]
+    lines += [f'  "{node_label(kb, p)}" -> "{node_label(kb, o)}";' for p, o in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

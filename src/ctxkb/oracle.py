@@ -15,7 +15,7 @@ from .infer import PosteriorVector
 from .lang import KnowledgeBase, Obj, SessionInput, validate_session
 from .logic import ancestors, topo_order
 from .netbuild import BayesNet, query_instances
-from .relevance import CombinedBase, RelevantAtomSet, build_combined_base, table_gaps
+from .relevance import CombinedBase, build_combined_base, table_gaps
 
 DEFAULT_GUARD = 10**7
 
@@ -26,24 +26,14 @@ class JointDistribution:
     values: tuple  # per-object value tuples, aligned with objs
     models: list  # of (assignment tuple, probability); zero-mass models omitted
 
-    def total(self) -> float:
-        return sum(p for _, p in self.models)
-
-    def prob(self, partial: dict) -> float:
-        """Total mass of models agreeing with a partial object -> value map."""
-        pos = {o: i for i, o in enumerate(self.objs)}
-        checks = [(pos[o], v) for o, v in partial.items()]
-        return sum(p for m, p in self.models if all(m[i] == v for i, v in checks))
-
 
 def enumerate_joint(
     base: CombinedBase,
-    ras: RelevantAtomSet = None,
-    objs=None,
+    objs,
     guard: int = DEFAULT_GUARD,
     evidence: dict = None,
 ) -> JointDistribution:
-    """All possible models with chain-rule probabilities over the combined base.
+    """All possible models with chain-rule probabilities over the tables of ``objs`` in the combined base.
 
     ``guard`` bounds the number of expanded (nonzero-prefix) states; a KB whose
     deterministic structure kills most branches enumerates far beyond the naive
@@ -51,8 +41,6 @@ def enumerate_joint(
     the evidence-consistent slice of the joint (the models dropped all have the
     wrong value at an observed object, so conditionals are unchanged).
     """
-    if objs is None:
-        objs = ras.objs if ras is not None else base.tables.keys()
     gaps = [gap for o in sorted(objs) for gap in table_gaps(o, base.tables.get(o))]
     if gaps:
         raise QuantificationError(gaps)

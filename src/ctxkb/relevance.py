@@ -46,22 +46,6 @@ from .logic import _Solver, topo_order
 
 
 @dataclass(frozen=True)
-class GroundSentence:
-    """A context-free ground conditional: P(cons | ante) = alpha."""
-
-    cons: tuple  # (Obj, value)
-    ante: frozenset  # of (Obj, value); coherent
-    alpha: float
-
-    def __str__(self) -> str:
-        cons = atom_of(*self.cons)
-        if self.ante:
-            ante = ", ".join(str(atom_of(o, v)) for o, v in sorted(self.ante))
-            return f"P({cons} | {ante}) = {self.alpha}"
-        return f"P({cons}) = {self.alpha}"
-
-
-@dataclass(frozen=True)
 class RelevantAtomSet:
     """Object-level view of the bounded relevant atom set (Ext-closed by construction)."""
 
@@ -90,26 +74,23 @@ class Cells(tuple):
     __hash__ = object.__hash__
 
 
-@dataclass
 class ObjTable:
     """Combined conditional table of one object, and its node in the supporting network.
 
-    ``rows`` holds the complete rows only; ``missing`` is the one record of
-    every gap.  Nothing writes a table after ``combine_rpb`` returns it, so
-    the network shares it as the node's CPT; tables of one ``shape`` share
-    its rows, gaps and checks, and a table built without one gets its own.
+    Built from a ``shape`` only.  ``parents`` are sorted objects.  ``values``,
+    ``rows`` (parent assignment -> probabilities over the values, complete rows
+    only) and ``missing`` (the one record (assignment, value or None) of every
+    gap) are the shape's, shared by every table of that shape with its checks;
+    they are copied to plain attributes because ``combine_rpb`` builds a table
+    per relevant object.  Nothing writes a table after ``combine_rpb`` returns
+    it, so the network shares it as the node's CPT.
     """
 
-    obj: Obj
-    values: tuple
-    parents: tuple  # of Obj, sorted
-    rows: dict = field(default_factory=dict)  # parent assignment -> tuple of probs over values
-    missing: list = field(default_factory=list)  # (assignment, value-or-None)
-    shape: Shape = field(default=None, repr=False, compare=False)
+    __slots__ = ("obj", "parents", "shape", "values", "rows", "missing")
 
-    def __post_init__(self):
-        if self.shape is None:
-            self.shape = Shape(self.values, self.rows, self.missing)
+    def __init__(self, obj: Obj, parents: tuple, shape: Shape):
+        self.obj, self.parents, self.shape = obj, parents, shape
+        self.values, self.rows, self.missing = shape.values, shape.rows, shape.missing
 
     @property
     def n_entries(self) -> int:
@@ -288,7 +269,7 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
         shape = kb.shapes.get(key)
         if shape is None:
             shape = kb.shapes[key] = _build_shape(kb, obj, recs, parents, causes)
-        base.tables[obj] = ObjTable(obj, shape.values, parents, shape.rows, shape.missing, shape)
+        base.tables[obj] = ObjTable(obj, parents, shape)
     return base
 
 
@@ -333,19 +314,23 @@ def _build_shape(kb: KnowledgeBase, obj, recs, parents, causes) -> Shape:
 
 
 def _first_conflict(obj, records) -> ConflictingSentencesError:
-    """The clash met first in text order: two alphas for one consequent and antecedent."""
-    sentences = {
-        GroundSentence((obj, v), frozenset(zip(parents, us)), alpha)
-        for _, parents, _, cells in records
-        for v, us, alpha in cells
-    }
+    """The clash met first in text order: two alphas for one consequent and antecedent.
+
+    Each cell is one ground sentence, written ``P(cons | ante) = alpha``; its
+    antecedents are the record's parents, distinct and sorted.
+    """
+    sentences: dict = {}  # text -> (text without alpha, alpha)
+    for _, parents, _, cells in records:
+        for v, us, alpha in cells:
+            ante = ", ".join(str(atom_of(o, u)) for o, u in zip(parents, us))
+            cond = f"P({atom_of(obj, v)} | {ante})" if ante else f"P({atom_of(obj, v)})"
+            sentences[f"{cond} = {alpha}"] = cond, alpha
     seen: dict = {}
-    for s in sorted(sentences, key=str):
-        other = seen.setdefault((s.cons, s.ante), s)
-        if other.alpha != s.alpha:
-            return ConflictingSentencesError(
-                f"conflicting sentences for {s}: alpha {other.alpha} vs {s.alpha}"
-            )
+    for text in sorted(sentences):
+        cond, alpha = sentences[text]
+        other = seen.setdefault(cond, alpha)
+        if other != alpha:
+            return ConflictingSentencesError(f"conflicting sentences for {text}: alpha {other} vs {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +373,15 @@ def row_violations(table) -> list:
     return violations
 
 
-def consistency_violations(base: CombinedBase):
+def check_consistency(base: CombinedBase):
+    """Raise ConsistencyError if an object influences itself or a row is not a distribution."""
     violations = []
-    # (1) no object influenced by itself
     try:
         topo_order({o: t.parents for o, t in base.tables.items()}, "combined relevant base")
     except CycleError as e:
         violations.append(f"object influenced by itself: {' -> '.join(str(w) for w in e.witness)}")
-    # (2) every row sums to one
     for obj in sorted(base.tables):
         violations.extend(row_violations(base.tables[obj]))
-    return violations
-
-
-def check_consistency(base: CombinedBase):
-    violations = consistency_violations(base)
     if violations:
         raise ConsistencyError(violations)
 

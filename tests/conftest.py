@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from importlib import resources
 
 import pytest
@@ -20,9 +21,9 @@ from ctxkb import (
     validate_session,
 )
 from ctxkb.errors import ConflictingSentencesError, CtxkbError
-from ctxkb.lang import Atom, Const, TimeExpr, Var, atom_of, atom_slots, fill_slots, groundings, obj_of
+from ctxkb.lang import TIME_DOMAIN, Atom, Const, TimeExpr, Var, atom_of, atom_slots, fill_slots, groundings
 from ctxkb.parser import parse_atoms
-from ctxkb.relevance import CombinedBase, GroundSentence, ObjTable
+from ctxkb.relevance import CombinedBase, ObjTable, Shape
 
 
 def data_path(name: str) -> str:
@@ -61,7 +62,12 @@ def outcome(kb, session):
 
 
 # ---------------------------------------------------------------------------
-# Ground-atom helpers that only tests need
+# Ground-atom, sentence, joint and KB-text helpers that only tests need
+
+
+def obj_of(atom):
+    """Random-variable identity of a ground p-atom: predicate plus all but the value."""
+    return (atom.pred,) + tuple(a.value for a in atom.args[:-1])
 
 
 def val_of(atom):
@@ -79,17 +85,67 @@ def query_obj(query, theta):
     return fill_slots(atom_slots(query)[:-1], theta)
 
 
+@dataclass(frozen=True)
+class GroundSentence:
+    """A context-free ground conditional: P(cons | ante) = alpha."""
+
+    cons: tuple  # (Obj, value)
+    ante: frozenset  # of (Obj, value); coherent
+    alpha: float
+
+    def __str__(self) -> str:
+        cons = atom_of(*self.cons)
+        if self.ante:
+            ante = ", ".join(str(atom_of(o, v)) for o, v in sorted(self.ante))
+            return f"P({cons} | {ante}) = {self.alpha}"
+        return f"P({cons}) = {self.alpha}"
+
+
+def total(joint):
+    """Total mass of an ``oracle.JointDistribution``'s models."""
+    return sum(p for _, p in joint.models)
+
+
+def prob(joint, partial):
+    """Total mass of the joint's models that agree with a partial object -> value map."""
+    pos = {o: i for i, o in enumerate(joint.objs)}
+    checks = [(pos[o], v) for o, v in partial.items()]
+    return sum(p for m, p in joint.models if all(m[i] == v for i, v in checks))
+
+
 def satisfaction_gap(joint, base):
     """Max violation of P(A0, ante) = alpha * P(ante) over every complete row of ``base``."""
     worst = 0.0
     for table in base.tables.values():
         for assignment, row in sorted(table.rows.items()):
             ante = dict(zip(table.parents, assignment))
-            p_ante = joint.prob(ante)
+            p_ante = prob(joint, ante)
             for v, alpha in zip(table.values, row):
-                p_both = joint.prob({**ante, table.obj: v})
+                p_both = prob(joint, {**ante, table.obj: v})
                 worst = max(worst, abs(p_both - alpha * p_ante))
     return worst
+
+
+def pretty(kb):
+    """The KB as text that ``parse_kb`` reads back to an equal KB."""
+    out = []
+    value_domains = {p.value_domain for p in kb.preds.values()}
+    for dom in kb.domains.values():
+        if dom.name == TIME_DOMAIN:
+            continue
+        kw = "value" if dom.name in value_domains else "domain"
+        out.append(f"{kw} {dom.name} = {{ {', '.join(str(m) for m in dom.members)} }}.")
+    for p in kb.preds.values():
+        kw = "pred" if p.kind == "p" else "cpred"
+        out.append(f"{kw} {p.name}({', '.join(p.attribute_domains)}).")
+    for name, (rule, params) in sorted(kb.cr.items()):
+        ps = ""
+        if params:
+            ps = "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
+        out.append(f"combine {name} with {rule}{ps}.")
+    out.extend(str(c) for c in kb.cb)
+    out.extend(str(s) for s in kb.pb)
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +551,7 @@ def reference_combine(sentences, kb, ras):
         parents = tuple(sorted({o for objset in cause_sets for o in objset}))
         parent_pos = {o: i for i, o in enumerate(parents)}
 
-        table = ObjTable(obj, values, parents)
+        table = ObjTable(obj, parents, Shape(values, {}, []))
         for combo in itertools.product(*(kb.val(p[0]) for p in parents)):
             mechanisms = []
             cell_missing = []

@@ -11,7 +11,6 @@ import pytest
 
 from ctxkb import (
     CycleError,
-    GroundSentence,
     SessionError,
     answer_query,
     build_net,
@@ -25,7 +24,7 @@ from ctxkb.bench import compare_encodings, paint_pair
 from ctxkb.errors import OutOfBoundsSupportError
 from ctxkb.relevance import build_combined_base
 
-from conftest import ground_sentences, naive_ras_objs, random_kb, session_for
+from conftest import GroundSentence, ground_sentences, naive_ras_objs, prob, random_kb, session_for
 
 N_CORPUS = 220
 
@@ -100,13 +99,13 @@ def test_criterion_4_independence(cardiac_kb):
     values = cardiac_kb.val("rhythm")
     worst = 0.0
     for v2, v3 in itertools.product(values, repeat=2):
-        p23 = joint.prob({r2: v2, r3: v3})
-        p2 = joint.prob({r2: v2})
+        p23 = prob(joint, {r2: v2, r3: v3})
+        p2 = prob(joint, {r2: v2})
         if p23 == 0.0 or p2 == 0.0:
             continue
         for v1 in values:
-            lhs = joint.prob({r1: v1, r2: v2, r3: v3}) / p23
-            rhs = joint.prob({r1: v1, r2: v2}) / p2
+            lhs = prob(joint, {r1: v1, r2: v2, r3: v3}) / p23
+            rhs = prob(joint, {r1: v1, r2: v2}) / p2
             worst = max(worst, abs(lhs - rhs))
     elapsed = time.time() - t0
     assert worst <= 1e-9

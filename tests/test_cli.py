@@ -712,8 +712,13 @@ def test_oracle_diff_json(runner, cardiac):
          "error: Invalid value for '--to': 'x' is not a valid integer."),
         ([], "error: Missing command."),
         (["--bogus"], "error: No such option '--bogus'."),
+        (["export-dot", "{kb}", "--format", "json"],
+         "error: No such option '--format'. (Did you mean one of: '--from', '--out'?)"),
+        (["oracle-diff", "{kb}", "--query", "rhythm(john, 1, V)", "--to", "1", "--guard", "-1"],
+         "error: Invalid value for '--guard': -1 is not in the range x>=0."),
     ],
-    ids=["no-kb-path", "bad-format", "bad-to", "no-command", "unknown-group-option"],
+    ids=["no-kb-path", "bad-format", "bad-to", "no-command", "unknown-group-option", "export-dot-format",
+         "negative-guard"],
 )
 def test_usage_error_is_one_stderr_line_exit_1(runner, cardiac, argv, line):
     r = runner.invoke(main, [a.format(**cardiac) for a in argv])

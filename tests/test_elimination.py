@@ -490,11 +490,11 @@ def test_negative_factor_raises_under_optimize():
         "from ctxkb import parse_kb",
         "from ctxkb.errors import ConsistencyError",
         "from ctxkb.infer import cpt_factor",
-        "from ctxkb.relevance import ObjTable",
+        "from ctxkb.relevance import ObjTable, Shape",
         "if not sys.flags.optimize:",
         "    sys.exit(3)",
         "kb = parse_kb('value x = { no, yes }.\\npred x(time).\\n')",
-        "node = ObjTable(('x', 0), ('no', 'yes'), (), {(): (0.5, -0.5)})",
+        "node = ObjTable(('x', 0), (), Shape(('no', 'yes'), {(): (0.5, -0.5)}, []))",
         "try:",
         "    cpt_factor(kb, node)",
         "except ConsistencyError:",

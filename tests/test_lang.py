@@ -20,10 +20,10 @@ from ctxkb import (
     parse_kb,
     validate_session,
 )
-from ctxkb.lang import atom_of, obj_of
+from ctxkb.lang import atom_of
 from ctxkb.parser import _diagnostic, parse_atoms, tokenize
 
-from conftest import data_path, ext, val_of
+from conftest import data_path, ext, obj_of, pretty, val_of
 
 BASIC = """
 domain person = { john, mary }.
@@ -228,7 +228,7 @@ def test_session_context_must_be_ground_c_atom(kb):
 
 def test_pretty_round_trips(cardiac_kb, paint_kb):
     for kb in (cardiac_kb, paint_kb):
-        assert parse_kb(kb.pretty()) == kb
+        assert parse_kb(pretty(kb)) == kb
 
 
 # ---------------------------------------------------------------------------

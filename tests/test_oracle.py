@@ -20,7 +20,7 @@ from ctxkb.logic import ancestors, topo_order
 from ctxkb.netbuild import query_instances
 from ctxkb.relevance import build_combined_base
 
-from conftest import random_kb, satisfaction_gap, session_for
+from conftest import prob, random_kb, satisfaction_gap, session_for, total
 
 CHAIN = """
 domain d = { a }.
@@ -51,8 +51,8 @@ def chain_base(chain_kb):
 
 def test_enumerate_joint_models(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras)
-    assert joint.total() == pytest.approx(1.0, abs=1e-12)
+    joint = enumerate_joint(base, ras.objs)
+    assert total(joint) == pytest.approx(1.0, abs=1e-12)
     assert len(joint.models) == 4
     probs = {m: p for m, p in joint.models}
     pi = joint.objs.index(("p", "a"))
@@ -64,22 +64,22 @@ def test_enumerate_joint_models(chain_kb, chain_base):
 
 def test_conditional_from_joint(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras)
+    joint = enumerate_joint(base, ras.objs)
     vec = conditional(joint, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     assert vec.probabilities[1] == pytest.approx(0.32 / 0.44, abs=1e-12)
 
 
 def test_joint_satisfies_all_sentences(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras)
+    joint = enumerate_joint(base, ras.objs)
     assert satisfaction_gap(joint, base) <= 1e-12
 
 
 def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
     base, ras = chain_base
-    full = enumerate_joint(base, ras)
-    clamped = enumerate_joint(base, ras, evidence={("q", "a"): "yes"})
-    assert clamped.total() == pytest.approx(full.prob({("q", "a"): "yes"}), abs=1e-12)
+    full = enumerate_joint(base, ras.objs)
+    clamped = enumerate_joint(base, ras.objs, evidence={("q", "a"): "yes"})
+    assert total(clamped) == pytest.approx(prob(full, {("q", "a"): "yes"}), abs=1e-12)
     v1 = conditional(full, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     v2 = conditional(clamped, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     assert v1.probabilities == pytest.approx(v2.probabilities, abs=1e-12)
@@ -87,8 +87,8 @@ def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
 
 def test_zero_probability_evidence_raises(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras)
-    bad = enumerate_joint(base, ras, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
+    joint = enumerate_joint(base, ras.objs)
+    bad = enumerate_joint(base, ras.objs, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
     with pytest.raises(ImpossibleEvidenceError):
         # impossible combination is simulated by asking for mass that is absent
         conditional(joint, ("p", "a"), {("q", "a"): "missing-value"}, chain_kb)

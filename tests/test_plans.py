@@ -1,4 +1,4 @@
-"""Elimination plans: compiled once per network structure, kept on the knowledge base.
+"""Elimination plans: compiled once per network structure, kept in the knowledge base's window store.
 
 A plan depends on each node's object and parents, the evidence objects and
 the target, never on table entries or evidence values.  A warm plan store
@@ -21,7 +21,7 @@ from ctxkb.errors import (
 )
 from ctxkb.infer import answer_on_net, eliminate
 from ctxkb.netbuild import BayesNet
-from ctxkb.relevance import ObjTable
+from ctxkb.relevance import ObjTable, Shape
 
 from bucket import bucket_eliminate
 from conftest import data_path, outcome, session_for, timed_kbs
@@ -72,7 +72,7 @@ def assert_warm_matches_fresh(text, sessions, seed):
 
 def test_warm_kb_answers_shuffled_paint_sessions_as_fresh_kbs():
     warm = assert_warm_matches_fresh(PAINT_TEXT, paint_sessions(seed=16, n=14), seed=1)
-    assert warm.plans
+    assert warm.window.plans
 
 
 def test_plan_hit_with_other_evidence_values_answers_as_fresh_kbs():
@@ -81,7 +81,7 @@ def test_plan_hit_with_other_evidence_values_answers_as_fresh_kbs():
     assert len(values) > 4
     warm = assert_warm_matches_fresh(CARDIAC_TEXT, sessions, seed=2)
     # one structure per query; each of its two targets has one plan
-    assert sorted(map(len, warm.plans.values())) == [2, 2]
+    assert sorted(map(len, warm.window.plans.values())) == [2, 2]
 
 
 def test_same_last_paint_time_shares_one_plan():
@@ -89,11 +89,11 @@ def test_same_last_paint_time_shares_one_plan():
     for times in ((4,), (0, 4), (1, 2, 4), (0, 1, 2, 3, 4)):
         context = " ".join(f"paint(door, {t})." for t in times)
         answer_query(kb, session_for(kb, context=context, lo=0, hi=240, query="painted(door, 240, V)"))
-    assert len(kb.plans) == 1
-    [plans] = kb.plans.values()
+    assert len(kb.window.plans) == 1
+    [plans] = kb.window.plans.values()
     assert list(plans) == [("painted", "door", 240)]
     answer_query(kb, session_for(kb, context="paint(door, 3).", lo=0, hi=240, query="painted(door, 240, V)"))
-    assert len(kb.plans) == 2
+    assert len(kb.window.plans) == 2
 
 
 def test_plans_differ_by_evidence_objects():
@@ -103,7 +103,7 @@ def test_plans_differ_by_evidence_objects():
     want = [outcome(parse_kb(PAINT_TEXT), s) for s in (plain, seen)]
     assert want[0] != want[1]
     assert [outcome(kb, s) for s in (plain, seen, plain)] == want + want[:1]
-    assert len(kb.plans) == 2
+    assert len(kb.window.plans) == 2
 
 
 def two_step_kb(values):
@@ -122,7 +122,7 @@ def test_two_kbs_with_the_same_objects_keep_their_own_plans():
             vs = session_for(kb, evidence=f"p(0, {first}).", lo=0, hi=1, query="p(1, V)")
             [(_, vec)] = answer_query(kb, vs).instances
             assert vec.probabilities == (1.0,) + (0.0,) * (n - 1)
-    assert len(small.plans) == len(large.plans) == 1
+    assert len(small.window.plans) == len(large.window.plans) == 1
 
 
 def test_impossible_evidence_raises_on_a_plan_hit():
@@ -144,11 +144,11 @@ def test_impossible_evidence_raises_on_a_plan_hit():
     for _ in range(2):  # the second call keeps the plan
         [(_, vec)] = answer_query(kb, session_for(kb, evidence="q(a, yes).", query="p(a, V)")).instances
         assert vec.probabilities == (0.0, 1.0)
-    plans = {k: dict(v) for k, v in kb.plans.items()}
+    plans = {k: dict(v) for k, v in kb.window.plans.items()}
     assert list(map(len, plans.values())) == [1]
     with pytest.raises(ImpossibleEvidenceError):
         answer_query(kb, session_for(kb, evidence="q(a, no).", query="p(a, V)"))
-    assert kb.plans == plans
+    assert kb.window.plans == plans
 
 
 @pytest.mark.parametrize(
@@ -161,14 +161,14 @@ def test_a_bad_table_raises_through_a_stored_plan(row, message):
     net, _ = build_net(kb, vs)
     for _ in range(2):  # the second call keeps the plan
         eliminate(kb, net, vs.evidence, [("p", 1)])
-    plans = {k: dict(v) for k, v in kb.plans.items()}
+    plans = {k: dict(v) for k, v in kb.window.plans.items()}
     assert list(map(len, plans.values())) == [1]
     # the same structure; the child's table is built by hand, not through the shape store
     rows = {("a",): row, ("b",): (0.0, 1.0)}
-    bad = {**net.nodes, ("p", 1): ObjTable(("p", 1), ("a", "b"), (("p", 0),), rows)}
+    bad = {**net.nodes, ("p", 1): ObjTable(("p", 1), (("p", 0),), Shape(("a", "b"), rows, []))}
     with pytest.raises(ConsistencyError, match=message):
         eliminate(kb, BayesNet(bad, net.order), vs.evidence, [("p", 1)])
-    assert kb.plans == plans
+    assert kb.window.plans == plans
 
 
 def test_a_structure_keeps_plans_from_its_second_call_on():
@@ -176,17 +176,31 @@ def test_a_structure_keeps_plans_from_its_second_call_on():
     vs = session_for(kb, context="paint(door, 0).", lo=0, hi=20, query="painted(door, T, V)")
     net, subs = build_net(kb, vs)
     want = answer_on_net(kb, vs, net, subs)
-    assert len(subs) == 21 and list(kb.plans.values()) == [()]  # a one-shot projection keeps no plan
+    assert len(subs) == 21 and list(kb.window.plans.values()) == [()]  # a one-shot projection keeps no plan
     for _ in range(2):
         assert answer_on_net(kb, vs, net, subs) == want
-        [plans] = kb.plans.values()
+        [plans] = kb.window.plans.values()
         assert sorted(plans) == sorted(vec.query_object for _, vec in want.instances)
+
+
+def test_plans_go_with_their_window():
+    # each horizon is its own window and structure; answered twice, each keeps plans while it is
+    # the latest window, and only the last window's remain
+    kb = parse_kb(PAINT_TEXT)
+    for h in range(20, 401, 20):
+        session = dict(context="paint(door, 3).", lo=0, hi=h, query=f"painted(door, {h}, V)")
+        want = outcome(parse_kb(PAINT_TEXT), session)
+        assert [outcome(kb, session) for _ in range(2)] == [want, want]
+        assert (kb.window.lo, kb.window.hi) == (0, h)
+        [plans] = kb.window.plans.values()
+        assert list(plans) == [("painted", "door", h)]
+    assert not hasattr(kb, "plans")
 
 
 def test_a_query_without_instances_stores_no_plan():
     kb = parse_kb("value p = { a, b }.\npred p(time).\nprob p(0, a) = 1.0.\nprob p(0, b) = 0.0.\n")
     assert answer_query(kb, session_for(kb, lo=0, hi=1, query="p(1, V)")).instances == []
-    assert kb.plans == {}
+    assert kb.window.plans == {}
 
 
 # ---------------------------------------------------------------------------

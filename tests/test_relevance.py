@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxkb import (
-    GroundSentence,
     build_combined_base,
     compute_ras,
     discharge_contexts,
@@ -16,7 +15,7 @@ from ctxkb import (
 from ctxkb.errors import ConflictingSentencesError, ConsistencyError, QuantificationError
 from ctxkb.relevance import check_consistency, table_gaps
 
-from conftest import ground_sentences, naive_ras_objs, random_kb, reference_restrict_rpb, session_for
+from conftest import GroundSentence, ground_sentences, naive_ras_objs, random_kb, reference_restrict_rpb, session_for
 
 GUARDED = """
 domain person = { john }.

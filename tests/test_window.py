@@ -180,7 +180,7 @@ def test_store_holds_nothing_from_a_session():
         outcome(kbs[1], dict(t, hi=5, query=s["query"]))
     reference, window = parse_kb(CARDIAC_TEXT), Window(0, 5)
     for kb in kbs:
-        assert vars(kb.window).keys() == {"lo", "hi", "objects"}
+        assert vars(kb.window).keys() == {"lo", "hi", "objects", "plans"}
         assert all(kb.decl(obj[0]).kind == "p" for obj in kb.window.objects)
         for obj, records in kb.window.objects.items():
             fresh = _object_records(reference, obj, window)
