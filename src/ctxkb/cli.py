@@ -41,10 +41,6 @@ def _atoms(kb, path):
     return [] if path is None else load_atoms(kb, path)
 
 
-def _query_atom(kb, text):
-    return None if text is None else parse_atom(kb, text)
-
-
 def _default_bounds(kb, frm, to, atoms):
     """The bounds given, else 0 and the latest time that one of the atoms names (0 if none)."""
     if to is None:
@@ -52,11 +48,13 @@ def _default_bounds(kb, frm, to, atoms):
     return 0 if frm is None else frm, to
 
 
-def _session(kb, context_path, evidence_path, query_text, frm, to):
-    ctx = _atoms(kb, context_path)
+def _session(kb, context_path, evidence_path, query_text, frm, to, plan_path=None):
+    """The validated session of the command's inputs; a plan's atoms join the context."""
+    plan = _atoms(kb, plan_path)
+    ctx = _atoms(kb, context_path) + plan
     ev = _atoms(kb, evidence_path)
-    query = _query_atom(kb, query_text)
-    frm, to = _default_bounds(kb, frm, to, ctx + ev + ([query] if query else []))
+    query = None if query_text is None else parse_atom(kb, query_text)
+    frm, to = _default_bounds(kb, frm, to, ctx + ev + [query])
     s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=query)
     return validate_session(kb, s)
 
@@ -204,15 +202,9 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     kb = load_kb(kb_path)
     if query_text is None:
         raise CtxkbError("project: --query is required")
-    plan = _atoms(kb, plan_path)
-    ctx = _atoms(kb, context_path) + plan
-    ev = _atoms(kb, evidence_path)
-    base_query = _query_atom(kb, query_text)
-    frm, to = _default_bounds(kb, frm, to, ctx + ev + [base_query])
-
     # validated as the user wrote it, so that diagnostics name their query
-    s = SessionInput(context=tuple(ctx), evidence=tuple(ev), lo=frm, hi=to, query=base_query)
-    session = validate_session(kb, s)
+    session = _session(kb, context_path, evidence_path, query_text, frm, to, plan_path)
+    base_query = session.query
     tp = kb.decl(base_query.pred).time_position()
     if tp is None:
         raise CtxkbError(f"project: query predicate {base_query.pred!r} has no time attribute")
@@ -220,11 +212,11 @@ def project(kb_path, context_path, evidence_path, query_text, frm, to, fmt, plan
     args = list(base_query.args)
     args[tp] = Var(_TIME_VAR)
     session = dataclasses.replace(session, query=Atom(base_query.pred, tuple(args)))
-    steps = {t: [] for t in range(frm, to + 1)}
+    steps = {t: [] for t in range(session.lo, session.hi + 1)}
     for theta, vec in answer_query(kb, session).instances:
         theta = dict(theta)
         steps[theta.pop(_TIME_VAR)].append((theta, vec))
-    _emit_instances(kb, base_query, frm, to, steps, fmt)
+    _emit_instances(kb, base_query, session.lo, session.hi, steps, fmt)
 
 
 @main.command("export-dot")

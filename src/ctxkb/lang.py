@@ -93,11 +93,6 @@ class AttributeDomain:
     name: str
     members: tuple  # ordered constants; empty only for the built-in time domain
 
-    def __contains__(self, v) -> bool:
-        if self.name == TIME_DOMAIN:
-            return isinstance(v, int)
-        return v in self.members
-
 
 TIME = AttributeDomain(TIME_DOMAIN, ())
 

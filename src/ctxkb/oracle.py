@@ -30,14 +30,14 @@ class JointDistribution:
 def enumerate_joint(
     base: CombinedBase,
     objs,
-    guard: int = DEFAULT_GUARD,
-    evidence: dict = None,
+    guard: int,
+    evidence: dict,
 ) -> JointDistribution:
     """All possible models with chain-rule probabilities over the tables of ``objs`` in the combined base.
 
     ``guard`` bounds the number of expanded (nonzero-prefix) states; a KB whose
     deterministic structure kills most branches enumerates far beyond the naive
-    product of value-set sizes.  Passing ``evidence`` restricts enumeration to
+    product of value-set sizes.  ``evidence`` restricts enumeration to
     the evidence-consistent slice of the joint (the models dropped all have the
     wrong value at an observed object, so conditionals are unchanged).
     """
@@ -45,7 +45,6 @@ def enumerate_joint(
     if gaps:
         raise QuantificationError(gaps)
     order = topo_order({o: base.tables[o].parents for o in objs}, "combined relevant base")
-    evidence = evidence or {}
     tables = [base.tables[o] for o in order]
     pos = {o: i for i, o in enumerate(order)}
     parent_idx = [tuple(pos[p] for p in t.parents) for t in tables]
@@ -121,7 +120,7 @@ def forward_sample(
     n: int,
     seed: int,
     targets,
-    evidence: dict = None,
+    evidence: dict,
 ):
     """Ancestral sampling with rejection; returns (per-target empirical vectors,
     number of accepted samples).
@@ -131,7 +130,6 @@ def forward_sample(
     """
     import numpy as np
 
-    evidence = evidence or {}
     rng = np.random.default_rng(seed)
     vindex = {o: {v: i for i, v in enumerate(kb.val(o[0]))} for o in net.nodes}
     samples = {}

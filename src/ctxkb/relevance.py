@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import combining
-from .errors import ConflictingSentencesError, ConsistencyError, CycleError
+from .errors import ConflictingSentencesError, ConsistencyError
 from .lang import (
     Atom,
     KnowledgeBase,
@@ -203,7 +203,7 @@ def _ground_cells(schema, theta, objs, parents) -> Cells:
 # Relevant atom set (least fixpoint, object level)
 
 
-def compute_ras(kb: KnowledgeBase, records, session: ValidatedSession) -> RelevantAtomSet:
+def compute_ras(records, session: ValidatedSession) -> RelevantAtomSet:
     """Evidence objects, then every record's object once all its parents are relevant.
 
     A worklist: records are grouped by their parents, and each group counts
@@ -374,12 +374,9 @@ def row_violations(table) -> list:
 
 
 def check_consistency(base: CombinedBase):
-    """Raise ConsistencyError if an object influences itself or a row is not a distribution."""
+    """Raise CycleError if an object influences itself, ConsistencyError if a row is not a distribution."""
+    topo_order({o: t.parents for o, t in base.tables.items()}, "combined relevant base")
     violations = []
-    try:
-        topo_order({o: t.parents for o, t in base.tables.items()}, "combined relevant base")
-    except CycleError as e:
-        violations.append(f"object influenced by itself: {' -> '.join(str(w) for w in e.witness)}")
     for obj in sorted(base.tables):
         violations.extend(row_violations(base.tables[obj]))
     if violations:
@@ -393,5 +390,5 @@ def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, demand=Non
     ancestors are discharged, and the base holds exactly their tables.
     """
     records = discharge_contexts(kb, session, demand)
-    ras = compute_ras(kb, records, session)
+    ras = compute_ras(records, session)
     return combine_rpb(records, kb, ras), ras, records

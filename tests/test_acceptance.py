@@ -22,6 +22,7 @@ from ctxkb import (
 )
 from ctxkb.bench import compare_encodings, paint_pair
 from ctxkb.errors import OutOfBoundsSupportError
+from ctxkb.oracle import DEFAULT_GUARD
 from ctxkb.relevance import build_combined_base
 
 from conftest import GroundSentence, ground_sentences, naive_ras_objs, prob, random_kb, session_for
@@ -94,7 +95,7 @@ def test_criterion_4_independence(cardiac_kb):
     vs = session_for(cardiac_kb, lo=0, hi=3)
     base, ras, _ = build_combined_base(cardiac_kb, vs)
     objs = [("rhythm", "john", t) for t in range(4)]
-    joint = enumerate_joint(base, objs=objs)
+    joint = enumerate_joint(base, objs, DEFAULT_GUARD, {})
     r1, r2, r3 = objs[1], objs[2], objs[3]
     values = cardiac_kb.val("rhythm")
     worst = 0.0

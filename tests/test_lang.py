@@ -403,6 +403,42 @@ DIAGNOSTICS = [
       "t.ckb:7:1: error: predicate 'w' uses undeclared domain 'nosuch'",
       "t.ckb:8:1: error: p-predicate 'u' has no value declaration (expected 'value u = ...')",
       "t.ckb:10:1: error: value set of 'z' is empty"]),
+    ("value p = { a }.\n(\n",
+     ["t.ckb:2:1: error: expected statement keyword, found '('"]),
+    ("domain = { a }.\n",
+     ["t.ckb:1:8: error: expected domain name, found '='"]),
+    ("domain d { a }.\n",
+     ["t.ckb:1:10: error: expected '=', found '{'"]),
+    ("domain d = a.\n",
+     ["t.ckb:1:12: error: expected '{', found 'a'"]),
+    ("domain d = { a, }.\n",
+     ["t.ckb:1:17: error: expected domain member, found '}'"]),
+    ("domain d = { a b }.\n",
+     ["t.ckb:1:16: error: expected '}', found 'b'"]),
+    ("pred (time).\n",
+     ["t.ckb:1:6: error: expected predicate name, found '('"]),
+    ("value p = { a }.\npred p(time,).\n",
+     ["t.ckb:2:13: error: expected domain name, found ')'"]),
+    (_KB_HEAD + "prob = 1.\n",
+     ["t.ckb:3:6: error: expected atom, found '='"]),
+    (_KB_HEAD + "combine p with.\n",
+     ["t.ckb:3:15: error: expected rule name, found '.'"]),
+    (_KB_HEAD + "combine p (noisy_max).\n",
+     ["t.ckb:3:11: error: expected identifier, found '('"]),
+    (_KB_HEAD + "combine p with noisy_or.\n",
+     ["t.ckb:3:16: error: unknown combining rule 'noisy_or'"]),
+    (_KB_HEAD + "combine p with noisy_max(weight=a).\n",
+     ["t.ckb:3:26: error: combining rule noisy_max has no parameter 'weight'"]),
+    (_KB_HEAD + "combine p with noisy_max(=a).\n",
+     ["t.ckb:3:26: error: expected parameter name, found '='"]),
+    (_KB_HEAD + "combine p with noisy_max().\n",
+     ["t.ckb:3:26: error: expected parameter name, found ')'"]),
+    (_KB_HEAD + "prob p(-a, a) = 1.\n",
+     ["t.ckb:3:9: error: expected 'int', found 'a'"]),
+    (_KB_HEAD + "prob p(T+a, a) = 1.\n",
+     ["t.ckb:3:10: error: expected 'int', found 'a'"]),
+    (_KB_HEAD + "prob p(T-, a) = 1.\n",
+     ["t.ckb:3:10: error: expected 'int', found ','"]),
 ]
 
 
@@ -432,3 +468,14 @@ def test_failing_atom_reports_at_every_occurrence():
         "t.ckb:3:11: error: constant 'c' not in domain 'p' of 'p'",
         "t.ckb:4:11: error: constant 'c' not in domain 'p' of 'p'",
     ]
+
+
+@pytest.mark.parametrize("name", ["cardiac.ckb", "paint.ckb"])
+def test_statement_order_does_not_matter(name):
+    # the shipped KBs declare every name before using it; reversed, every use comes first
+    with open(data_path(name), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    kb, rev = parse_kb("\n".join(lines)), parse_kb("\n".join(reversed(lines)))
+    assert (rev.domains, rev.preds, rev.cr) == (kb.domains, kb.preds, kb.cr)
+    assert set(rev.pb) == set(kb.pb) and len(rev.pb) == len(kb.pb)
+    assert set(rev.cb) == set(kb.cb) and len(rev.cb) == len(kb.cb)

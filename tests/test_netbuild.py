@@ -190,7 +190,7 @@ def _same_instances(kb, vs):
 def _same_combine(kb, vs, demand=None):
     """Combining the records gives the tables, or the clash, of the sentence-based reference."""
     records = discharge_contexts(kb, vs, demand)
-    ras = compute_ras(kb, records, vs)
+    ras = compute_ras(records, vs)
     try:
         want = reference_combine(ground_sentences(records), kb, ras)
     except ConflictingSentencesError as e:

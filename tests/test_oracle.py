@@ -18,6 +18,7 @@ from ctxkb import (
 from ctxkb.errors import EnumerationGuardError, ImpossibleEvidenceError, QuantificationError
 from ctxkb.logic import ancestors, topo_order
 from ctxkb.netbuild import query_instances
+from ctxkb.oracle import DEFAULT_GUARD
 from ctxkb.relevance import build_combined_base
 
 from conftest import prob, random_kb, satisfaction_gap, session_for, total
@@ -51,7 +52,7 @@ def chain_base(chain_kb):
 
 def test_enumerate_joint_models(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras.objs)
+    joint = enumerate_joint(base, ras.objs, DEFAULT_GUARD, {})
     assert total(joint) == pytest.approx(1.0, abs=1e-12)
     assert len(joint.models) == 4
     probs = {m: p for m, p in joint.models}
@@ -64,21 +65,21 @@ def test_enumerate_joint_models(chain_kb, chain_base):
 
 def test_conditional_from_joint(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras.objs)
+    joint = enumerate_joint(base, ras.objs, DEFAULT_GUARD, {})
     vec = conditional(joint, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     assert vec.probabilities[1] == pytest.approx(0.32 / 0.44, abs=1e-12)
 
 
 def test_joint_satisfies_all_sentences(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras.objs)
+    joint = enumerate_joint(base, ras.objs, DEFAULT_GUARD, {})
     assert satisfaction_gap(joint, base) <= 1e-12
 
 
 def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
     base, ras = chain_base
-    full = enumerate_joint(base, ras.objs)
-    clamped = enumerate_joint(base, ras.objs, evidence={("q", "a"): "yes"})
+    full = enumerate_joint(base, ras.objs, DEFAULT_GUARD, {})
+    clamped = enumerate_joint(base, ras.objs, DEFAULT_GUARD, evidence={("q", "a"): "yes"})
     assert total(clamped) == pytest.approx(prob(full, {("q", "a"): "yes"}), abs=1e-12)
     v1 = conditional(full, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
     v2 = conditional(clamped, ("p", "a"), {("q", "a"): "yes"}, chain_kb)
@@ -87,8 +88,8 @@ def test_evidence_clamping_matches_full_joint(chain_kb, chain_base):
 
 def test_zero_probability_evidence_raises(chain_kb, chain_base):
     base, ras = chain_base
-    joint = enumerate_joint(base, ras.objs)
-    bad = enumerate_joint(base, ras.objs, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
+    joint = enumerate_joint(base, ras.objs, DEFAULT_GUARD, {})
+    bad = enumerate_joint(base, ras.objs, DEFAULT_GUARD, evidence={("q", "a"): "yes", ("p", "a"): "yes"})
     with pytest.raises(ImpossibleEvidenceError):
         # impossible combination is simulated by asking for mass that is absent
         conditional(joint, ("p", "a"), {("q", "a"): "missing-value"}, chain_kb)
@@ -132,7 +133,7 @@ def test_forward_sampling_within_3_sigma(chain_kb):
     vs = session_for(chain_kb, query="q(a, V)")
     net, _ = build_net(chain_kb, vs)
     n = 40000
-    vecs, accepted = forward_sample(chain_kb, net, n, seed=11, targets=[("q", "a")])
+    vecs, accepted = forward_sample(chain_kb, net, n, seed=11, targets=[("q", "a")], evidence={})
     assert accepted == n
     p = 0.44
     sigma = math.sqrt(p * (1 - p) / n)
@@ -155,8 +156,8 @@ def test_rejection_sampling_conditional(chain_kb):
 def test_sampling_is_seed_deterministic(chain_kb):
     vs = session_for(chain_kb, query="q(a, V)")
     net, _ = build_net(chain_kb, vs)
-    a, _ = forward_sample(chain_kb, net, 1000, seed=3, targets=[("q", "a")])
-    b, _ = forward_sample(chain_kb, net, 1000, seed=3, targets=[("q", "a")])
+    a, _ = forward_sample(chain_kb, net, 1000, seed=3, targets=[("q", "a")], evidence={})
+    b, _ = forward_sample(chain_kb, net, 1000, seed=3, targets=[("q", "a")], evidence={})
     assert a[("q", "a")].probabilities == b[("q", "a")].probabilities
 
 

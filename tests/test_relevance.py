@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from ctxkb import (
     build_combined_base,
+    build_net,
     compute_ras,
     discharge_contexts,
     parse_kb,
 )
-from ctxkb.errors import ConflictingSentencesError, ConsistencyError, QuantificationError
+from ctxkb.errors import ConflictingSentencesError, ConsistencyError, CycleError, QuantificationError
 from ctxkb.relevance import check_consistency, table_gaps
 
 from conftest import GroundSentence, ground_sentences, naive_ras_objs, random_kb, reference_restrict_rpb, session_for
@@ -96,7 +97,7 @@ def test_discharge_provenance_records_guard(kb):
 def test_ras_fixpoint_and_restriction(kb):
     vs = session_for(kb, lo=0, hi=2, query="rhythm(john, 2, V)")
     discharged = discharge_contexts(kb, vs)
-    ras = compute_ras(kb, discharged, vs)
+    ras = compute_ras(discharged, vs)
     assert ras.objs == {("rhythm", "john", 0), ("rhythm", "john", 1), ("rhythm", "john", 2)}
     sentences = ground_sentences(discharged)
     rpb = reference_restrict_rpb(sentences, ras)
@@ -109,14 +110,14 @@ def test_ras_is_monotone_in_evidence(kb):
     vs0 = session_for(kb, lo=0, hi=2)
     vs1 = session_for(kb, evidence="rhythm(john, 1, vf).", lo=0, hi=2)
     d0, d1 = discharge_contexts(kb, vs0), discharge_contexts(kb, vs1)
-    assert compute_ras(kb, d0, vs0).objs <= compute_ras(kb, d1, vs1).objs
+    assert compute_ras(d0, vs0).objs <= compute_ras(d1, vs1).objs
 
 
 def test_ras_matches_naive_atom_level_fixpoint(kb):
     for seed in range(20):
         rkb, session, _ = random_kb(seed)
         discharged = discharge_contexts(rkb, session)
-        ras = compute_ras(rkb, discharged, session)
+        ras = compute_ras(discharged, session)
         assert ras.objs == naive_ras_objs(rkb, session) | set(session.evidence)
 
 
@@ -142,7 +143,7 @@ def test_ras_worklist_matches_repeat_until_stable(edges, evidence):
             if all(o in objs for o, _ in s.ante) and s.cons[0] not in objs:
                 objs.add(s.cons[0])
                 changed = True
-    assert compute_ras(None, records, session).objs == objs
+    assert compute_ras(records, session).objs == objs
 
 
 def test_combined_base_rows_normalized(kb):
@@ -229,6 +230,35 @@ def test_quantification_gap_reported():
     gaps = [gap for o in sorted(ras.objs) for gap in table_gaps(o, base.tables.get(o))]
     assert gaps and gaps[0][0] == ("p", 0)
     assert "missing value variant 'no'" in gaps[0][1]
+
+
+def test_table_cycle_raises_cycle_error():
+    # p has a prior and a q cause, q has a p cause: each table is a parent of the other
+    kb = parse_kb(
+        """
+        value p = { no, yes }.
+        value q = { no, yes }.
+        pred p(time).
+        pred q(time).
+        prob p(t, yes) = 0.5.
+        prob p(t, no) = 0.5.
+        prob p(t, yes) | q(t, yes) = 0.5.
+        prob p(t, no) | q(t, yes) = 0.5.
+        prob p(t, yes) | q(t, no) = 0.5.
+        prob p(t, no) | q(t, no) = 0.5.
+        prob q(t, yes) | p(t, yes) = 0.5.
+        prob q(t, no) | p(t, yes) = 0.5.
+        prob q(t, yes) | p(t, no) = 0.5.
+        prob q(t, no) | p(t, no) = 0.5.
+        """
+    )
+    vs = session_for(kb, lo=0, hi=0, query="p(0, V)")
+    base, _, _ = build_combined_base(kb, vs)
+    with pytest.raises(CycleError) as e:
+        check_consistency(base)
+    assert len(e.value.witness) == 3 and e.value.witness[0] == e.value.witness[-1]
+    with pytest.raises(CycleError, match=r"^supporting network: cycle: "):
+        build_net(kb, vs)
 
 
 def test_unnormalized_row_flagged_by_consistency_check():
