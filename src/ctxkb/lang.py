@@ -265,8 +265,9 @@ class KnowledgeBase:
     # head predicate -> its clauses' Rule forms, in text order, compiled once from cb
     clauses: dict = field(init=False, repr=False, compare=False)
     # the lang.Window of the latest session window (None until one): each rule's ranges, each reached
-    # object's discharge records there, guards unproven, and the elimination plans of its networks, so
-    # it holds nothing from a session; a session over another window replaces it, plans and all
+    # object's discharge records there, guards unproven, the combined table of each kept set of those
+    # records, and the elimination plans of its networks, so it holds no evidence value or context
+    # fact; a session over another window replaces it, tables, plans and all
     window: Window = field(default=None, init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
@@ -357,14 +358,17 @@ class Window(dict):
 
     As a dict: rule -> (ranges, free variables' ranges), None without a grounding
     there.  ``objects``: ground object -> its ``relevance.discharge_contexts``
-    records, one per schema grounding, guards filled but not proven.  ``plans``:
-    (network structure, evidence objects) -> target -> its ``infer.compile_plan``
-    plan, filled by ``infer.eliminate`` from a structure's second call on (its
-    first leaves an empty entry).
+    records, one per schema grounding, guards filled but not proven.  ``tables``:
+    the ids of the ``objects`` records that ``relevance.combine_rpb`` kept for one
+    object, in order -> (those records, the object's ``relevance.ObjTable``), whose
+    gap and row lines are formatted at its first check.  ``plans``: (network
+    structure, evidence objects) -> target -> its ``infer.compile_plan`` plan,
+    filled by ``infer.eliminate`` from a structure's second call on (its first
+    leaves an empty entry).
     """
 
     def __init__(self, lo: int, hi: int):
-        self.lo, self.hi, self.objects, self.plans = lo, hi, {}, {}
+        self.lo, self.hi, self.objects, self.tables, self.plans = lo, hi, {}, {}, {}
 
     def __missing__(self, rule):
         ranges = _window_ranges(rule.typing, self.lo, self.hi)

@@ -81,7 +81,9 @@ def assemble_net(
 
     ``candidates`` are the query's (bindings, object) pairs, as ``query_instances`` lists them.
     A gap in a reached table raises QuantificationError, and a row that is
-    not a distribution ConsistencyError.
+    not a distribution ConsistencyError.  Each table formats its gap and row
+    lines once (``table_gaps``, ``row_violations``), so a table the window
+    store hands out again is checked by reading them.
     """
     instances = [(theta, o) for theta, o in candidates if o in ras.objs]
 
@@ -98,14 +100,16 @@ def assemble_net(
             outside = _support_out_of_window(kb, obj, kb.window_for(session.lo, session.hi), base.tables)
             if outside is not None:
                 raise OutOfBoundsSupportError(outside)
-        else:
-            stack.extend(p for p in table.parents if p not in reached)
-        gaps.extend(table_gaps(obj, table))
+            gaps.extend(table_gaps(obj, None))
+            continue
+        stack.extend(p for p in table.parents if p not in reached)
+        if table.missing:
+            gaps.extend(table_gaps(obj, table))
     if gaps:
         raise QuantificationError(gaps)
-    violations = [v for o in sorted(reached) for v in row_violations(base.tables[o])]
-    if violations:
-        raise ConsistencyError(violations)
+    bad = sorted(o for o in reached if row_violations(base.tables[o]))
+    if bad:
+        raise ConsistencyError([v for o in bad for v in base.tables[o].violations])
 
     order = topo_order({o: base.tables[o].parents for o in reached}, "supporting network")
     return BayesNet({o: base.tables[o] for o in order}, tuple(order)), [theta for theta, _ in instances]

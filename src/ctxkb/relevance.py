@@ -19,7 +19,9 @@ A record depends on the session only through the truth of its guard.  The
 KB's window store (``lang.Window``, kept for the latest window in
 ``KnowledgeBase.window``) holds each reached object's records, guards filled
 but unproven, so a session over a window seen before only walks the demand
-and proves guards.
+and proves guards.  It also holds each object's combined table under the
+records that combining kept for it, so a session that keeps the same records
+reuses the table and its checked lines.
 """
 
 from __future__ import annotations
@@ -81,16 +83,20 @@ class ObjTable:
     ``rows`` (parent assignment -> probabilities over the values, complete rows
     only) and ``missing`` (the one record (assignment, value or None) of every
     gap) are the shape's, shared by every table of that shape with its checks;
-    they are copied to plain attributes because ``combine_rpb`` builds a table
-    per relevant object.  Nothing writes a table after ``combine_rpb`` returns
-    it, so the network shares it as the node's CPT.
+    they are copied to plain attributes because the network reads them per
+    node.  ``gaps`` and ``violations`` are the table's gap and row lines, each
+    formatted at its first check (``table_gaps``, ``row_violations``).  Nothing
+    else writes a table after ``combine_rpb`` returns it, so the network shares
+    it as the node's CPT and the window store hands it to every session that
+    keeps the same records.
     """
 
-    __slots__ = ("obj", "parents", "shape", "values", "rows", "missing")
+    __slots__ = ("obj", "parents", "shape", "values", "rows", "missing", "gaps", "violations")
 
     def __init__(self, obj: Obj, parents: tuple, shape: Shape):
         self.obj, self.parents, self.shape = obj, parents, shape
         self.values, self.rows, self.missing = shape.values, shape.rows, shape.missing
+        self.gaps = self.violations = None
 
     @property
     def n_entries(self) -> int:
@@ -252,6 +258,11 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
     the shape key: predicate, parents' predicates and, per record, its
     parents' positions among the table's parents and its cells.  Each shape
     is built once per knowledge base, in ``kb.shapes``; one that clashes is not kept.
+
+    The table itself depends only on the records kept for its object, so the
+    window store (``kb.window.tables``) keeps it under their identities, in
+    order, together with the records, which keeps those identities from
+    being reused.  A clash stores nothing.
     """
     relevant = ras.objs
     by_obj: dict = {}
@@ -259,9 +270,16 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
         if rec[0] in relevant and relevant.issuperset(rec[1]):
             by_obj.setdefault(rec[0], []).append(rec)
 
+    memo = {} if kb.window is None else kb.window.tables
     base = CombinedBase()
+    tables = base.tables
     for obj in sorted(by_obj):
         recs = by_obj[obj]
+        ids = tuple(map(id, recs))
+        entry = memo.get(ids)
+        if entry is not None:
+            tables[obj] = entry[1]
+            continue
         parents = tuple(sorted({o for rec in recs for o in rec[1]}))
         parent_pos = {o: i for i, o in enumerate(parents)}
         causes = tuple((tuple(parent_pos[o] for o in ps), cells) for _, ps, _, cells in recs)
@@ -269,7 +287,8 @@ def combine_rpb(records, kb: KnowledgeBase, ras: RelevantAtomSet) -> CombinedBas
         shape = kb.shapes.get(key)
         if shape is None:
             shape = kb.shapes[key] = _build_shape(kb, obj, recs, parents, causes)
-        base.tables[obj] = ObjTable(obj, parents, shape)
+        table = tables[obj] = ObjTable(obj, parents, shape)
+        memo[ids] = recs, table
     return base
 
 
@@ -337,10 +356,15 @@ def _first_conflict(obj, records) -> ConflictingSentencesError:
 # Checks: complete quantification and consistency
 
 
-def table_gaps(obj: Obj, table) -> list:
-    """(obj, detail) for each gap of ``obj``'s table, or for the table itself when it is None."""
+def table_gaps(obj: Obj, table) -> tuple:
+    """(obj, detail) for each gap of ``obj``'s table, or for the table itself when it is None.
+
+    A table's gaps are formatted once and kept in ``table.gaps``.
+    """
     if table is None:
-        return [(obj, "no applicable sentence inside the session window")]
+        return ((obj, "no applicable sentence inside the session window"),)
+    if table.gaps is not None:
+        return table.gaps
     gaps = []
     for assignment, value in table.missing:
         at = f"parents {dict(zip(table.parents, assignment))}" if table.parents else "marginal"
@@ -348,11 +372,17 @@ def table_gaps(obj: Obj, table) -> list:
             gaps.append((obj, f"no applicable sentence at {at}"))
         else:
             gaps.append((obj, f"missing value variant {value!r} at {at}"))
-    return gaps
+    table.gaps = tuple(gaps)
+    return table.gaps
 
 
-def row_violations(table) -> list:
-    """A line for each row of ``table`` that is not a distribution; rows are checked once per shape."""
+def row_violations(table) -> tuple:
+    """A line for each row of ``table`` that is not a distribution, kept in ``table.violations``.
+
+    Rows are checked once per shape, and the lines formatted once per table.
+    """
+    if table.violations is not None:
+        return table.violations
     shape = table.shape
     if shape.bad is None:
         bad = []
@@ -370,7 +400,8 @@ def row_violations(table) -> list:
             )
         if outside:
             violations.append(f"row for {table.obj} at {assignment} has entries outside [0, 1]")
-    return violations
+    table.violations = tuple(violations)
+    return table.violations
 
 
 def check_consistency(base: CombinedBase):

@@ -132,3 +132,20 @@ def test_persistence_nodes_share_one_rows_object():
     # the same structure at another horizon and paint time adds no shape
     build_net(kb, session_for(kb, context="paint(door, 3).", lo=0, hi=40, query="painted(door, 40, V)"))
     assert kb.shapes == shapes
+
+
+def test_paint_shapes_stay_two_at_every_horizon():
+    kb = parse_kb(PAINT_TEXT)
+    for h in range(20, 401, 20):
+        assert isinstance(outcome(kb, dict(lo=0, hi=h, query=f"painted(door, {h}, V)")), list)
+        assert len(kb.shapes) == 2, h  # the prior at minute 0 and persistence
+
+
+def test_a_second_pass_over_cardiac_sessions_adds_no_shape():
+    sessions = cardiac_sessions(seed=97, n=24)
+    kb = parse_kb(CARDIAC_TEXT)
+    first = [outcome(kb, s) for s in sessions]
+    shapes = dict(kb.shapes)
+    assert shapes
+    assert [outcome(kb, s) for s in sessions] == first
+    assert kb.shapes == shapes and all(kb.shapes[k] is v for k, v in shapes.items())

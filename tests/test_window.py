@@ -1,10 +1,11 @@
 """The window store: schema groundings are built once per knowledge base and window.
 
 ``KnowledgeBase.window`` keeps, for the latest session window, each rule's
-ranges and each reached object's discharge records with their guards filled
-but not proven.  A warm store must discharge exactly as a freshly loaded
-knowledge base does, report the same errors, keep one window only and hold
-nothing that comes from a session.
+ranges, each reached object's discharge records with their guards filled
+but not proven, and each object's combined table under the records that
+combining kept for it.  A warm store must discharge, combine and check
+exactly as a freshly loaded knowledge base does, report the same errors,
+keep one window only and hold nothing that comes from a session.
 """
 
 import gc
@@ -12,10 +13,20 @@ import random
 import weakref
 from pathlib import Path
 
+import pytest
+
 from ctxkb import discharge_contexts, parse_kb
+from ctxkb.errors import CtxkbError
 from ctxkb.lang import Window
 from ctxkb.netbuild import query_instances
-from ctxkb.relevance import _object_records
+from ctxkb.relevance import (
+    RelevantAtomSet,
+    _object_records,
+    build_combined_base,
+    combine_rpb,
+    row_violations,
+    table_gaps,
+)
 
 from conftest import data_path, outcome, session_for
 from test_shapes import cardiac_sessions
@@ -178,14 +189,151 @@ def test_store_holds_nothing_from_a_session():
     for s, t in zip(cardiac_sessions(seed=53, n=12), cardiac_sessions(seed=54, n=12)):
         outcome(kbs[0], dict(s, hi=5))
         outcome(kbs[1], dict(t, hi=5, query=s["query"]))
-    reference, window = parse_kb(CARDIAC_TEXT), Window(0, 5)
+    reference = parse_kb(CARDIAC_TEXT)
     for kb in kbs:
-        assert vars(kb.window).keys() == {"lo", "hi", "objects", "plans"}
-        assert all(kb.decl(obj[0]).kind == "p" for obj in kb.window.objects)
-        for obj, records in kb.window.objects.items():
-            fresh = _object_records(reference, obj, window)
-            assert [r[:3] for r in records] == [r[:3] for r in fresh], obj
-            assert [tuple(r[3]) for r in records] == [tuple(r[3]) for r in fresh], obj
+        assert vars(kb.window).keys() == {"lo", "hi", "objects", "tables", "plans"}
+        assert kb.window.tables
+        assert_window_holds_the_kb_alone(kb.window, reference)
     # no proof filtered them: one object keeps groundings whose guards exclude each other
     guards = {lit[1][0] for r in kbs[0].window.objects[("rhythm", "john", 2)] for lit in r[2]}
     assert {"dfib", "no_inter"} <= guards
+
+
+# ---------------------------------------------------------------------------
+# The table memo: one combined table per object and kept record set
+
+
+def assert_window_holds_the_kb_alone(window, reference):
+    """What ``window`` stores follows from the KB alone.
+
+    ``reference`` is a KB of the same text that never saw a session.  Every
+    stored object has the records that it grounds for the object; every
+    table is keyed by the identities of records the window holds, and is the
+    table that combining those records alone gives on it.
+    """
+    fresh_window = Window(window.lo, window.hi)
+    for obj, records in window.objects.items():
+        assert reference.decl(obj[0]).kind == "p"
+        fresh = _object_records(reference, obj, fresh_window)
+        assert [r[:3] for r in records] == [r[:3] for r in fresh], obj
+        assert [tuple(r[3]) for r in records] == [tuple(r[3]) for r in fresh], obj
+    for ids, (recs, table) in window.tables.items():
+        assert ids == tuple(map(id, recs)) and recs
+        assert all(r[0] == table.obj for r in recs)
+        assert all(any(r is s for s in window.objects[r[0]]) for r in recs), table.obj
+        again = combine_rpb(recs, reference, RelevantAtomSet(frozenset(o for r in recs for o in (r[0], *r[1]))))
+        [(obj, fresh)] = again.tables.items()
+        assert (obj, fresh.parents, fresh.rows, fresh.missing) == (table.obj, table.parents, table.rows,
+                                                                   table.missing)
+
+
+def node_views(kb, session):
+    """Per table of the session's combined base: object, parents, rows, gaps, gap lines and row lines.
+
+    The error's type and message instead when combining fails.
+    """
+    try:
+        vs = session_for(kb, **session)
+        base, _, _ = build_combined_base(kb, vs, demand_of(kb, vs))
+    except CtxkbError as e:
+        return type(e).__name__, str(e)
+    return [(obj, t.parents, sorted(t.rows.items()), t.missing, table_gaps(obj, t), row_violations(t))
+            for obj, t in base.tables.items()]
+
+
+def assert_warm_tables_as_fresh(text, sessions):
+    warm, reference = parse_kb(text), parse_kb(text)
+    for i, s in enumerate(sessions):
+        fresh = parse_kb(text)
+        assert node_views(warm, s) == node_views(fresh, s), s
+        assert outcome(warm, s) == outcome(fresh, s), s
+        if i % 6 == 5:
+            assert_window_holds_the_kb_alone(warm.window, reference)
+
+
+def test_warm_tables_match_fresh_kbs_node_by_node_on_seeded_cardiac_plans():
+    sessions = alternating_cardiac_sessions(seed=313, n=12)
+    assert_warm_tables_as_fresh(CARDIAC_TEXT, sessions + sessions[::-1])
+
+
+def test_warm_tables_match_fresh_kbs_node_by_node_on_seeded_paint_plans():
+    sessions = paint_sessions(seed=409, n=12, horizons=(120, 240))
+    assert_warm_tables_as_fresh(PAINT_TEXT, sessions + sessions[::-1])
+
+
+def combined_tables(kb, session):
+    vs = session_for(kb, **session)
+    return build_combined_base(kb, vs, demand_of(kb, vs))[0].tables
+
+
+def test_a_second_pass_in_one_window_hands_out_the_same_tables():
+    for text, sessions in ((CARDIAC_TEXT, [dict(s, hi=5) for s in cardiac_sessions(seed=71, n=12)]),
+                           (PAINT_TEXT, paint_sessions(seed=72, n=6, horizons=(240,)))):
+        kb = parse_kb(text)
+        first = []
+        for s in sessions:
+            try:
+                first.append(combined_tables(kb, s))
+            except CtxkbError:
+                first.append(None)  # a conflict: nothing to hand out
+        assert sum(t is not None for t in first) >= len(sessions) // 2
+        stored = len(kb.window.tables)
+        for s, before in zip(sessions, first):
+            if before is not None:
+                again = combined_tables(kb, s)
+                assert again.keys() == before.keys()
+                assert all(again[o] is before[o] for o in before), s
+        assert len(kb.window.tables) == stored
+
+
+def test_a_conflict_stores_no_table_for_its_object():
+    session = dict(context="c(2).", lo=0, hi=3, query="p(3, V)")
+    kb = parse_kb(GUARDED_CONFLICT)
+    first = outcome(kb, session)
+    assert first[0] == "ConflictingSentencesError" and "p(2, yes)" in first[1]
+    stored = {table.obj for _, table in kb.window.tables.values()}
+    assert ("p", 2) not in stored and {("p", 0), ("p", 1)} <= stored
+    assert outcome(kb, session) == first == outcome(parse_kb(GUARDED_CONFLICT), session)
+    assert {table.obj for _, table in kb.window.tables.values()} == stored
+
+
+GAPS = """
+value p = { no, yes }.
+pred p(time).
+cpred c(time).
+prob p(0, no) = 0.6.
+prob p(0, yes) = 0.4.
+prob p(t, no) | p(t-1, no) = 0.9.
+prob p(t, yes) | p(t-1, no) = 0.1.
+prob p(t, no) | p(t-1, yes) = 0.2 <- c(t).
+prob p(t, yes) | p(t-1, yes) = 0.8 <- c(t).
+prob p(t, no) | p(t-1, yes) = 0.3 <- not c(t).
+"""
+
+ROWS = """
+value p = { no, yes }.
+pred p(time).
+cpred c(time).
+prob p(0, no) = 0.6.
+prob p(0, yes) = 0.4.
+prob p(t, no) | p(t-1, no) = 0.9.
+prob p(t, yes) | p(t-1, no) = 0.1.
+prob p(t, no) | p(t-1, yes) = 0.2.
+prob p(t, yes) | p(t-1, yes) = 0.8 <- c(t).
+prob p(t, yes) | p(t-1, yes) = 0.7 <- not c(t).
+"""
+
+
+@pytest.mark.parametrize("text, error", [(GAPS, "QuantificationError"), (ROWS, "ConsistencyError")])
+def test_stored_tables_report_a_fresh_kbs_lines_in_order(text, error):
+    kb = parse_kb(text)
+    sessions = [dict(context=ctx, lo=0, hi=4, query="p(4, V)") for ctx in ("c(2).", "c(1). c(3).", "c(4).")]
+    first = [outcome(kb, s) for s in sessions]
+    assert all(o[0] == error and o[1].count(";") >= 1 for o in first), first
+    stored = dict(kb.window.tables)
+    for s, want in zip(sessions, first):
+        assert outcome(kb, s) == want == outcome(parse_kb(text), s)
+    assert kb.window.tables == stored
+    # each line was formatted by the first session that checked its table
+    lines = "gaps" if error == "QuantificationError" else "violations"
+    assert all(getattr(t, lines) is not None for _, t in stored.values() if t.missing or lines == "violations")
