@@ -328,25 +328,36 @@ def eliminate(kb: KnowledgeBase, net: BayesNet, evidence: dict, targets):
     A structure's plans are kept in the plans of ``kb.window``, the window the
     network was built in, from its second call on; the first call leaves an
     empty entry, so a one-shot run such as a projection holds no plan per
-    target.  Each returned factor holds P(target, evidence) / 2**log2_scale.
+    target.  From then on the network holds its entry (``BayesNet.plans``), so
+    a network that the window's network memo hands out again builds no
+    structure key.  Each returned factor holds P(target, evidence) / 2**log2_scale.
     """
     for o in evidence:
         if o not in net.nodes:
             raise CtxkbError(f"evidence object {o} is not in the network")
-    parents = {o: node.parents for o, node in net.nodes.items()}
+    parents = None  # object -> its parents, built only for a structure key or a plan to compile
     observed = tuple(sorted(evidence))
     plans = None  # where this call keeps its plans: none for a first call
     if targets:
-        store, key = kb.window.plans, (tuple(parents.items()), observed)
-        plans = store.get(key)
-        if plans is None:
-            store[key] = ()
-        elif not plans:
-            plans = store[key] = {}
+        store, held = kb.window.plans, net.plans
+        if held is not None and held[0] is store and held[1] == observed:
+            plans = held[2]
+        else:
+            parents = {o: node.parents for o, node in net.nodes.items()}
+            key = (tuple(parents.items()), observed)
+            plans = store.get(key)
+            if plans is None:
+                store[key] = ()
+            else:
+                if not plans:
+                    plans = store[key] = {}
+                net.plans = store, observed, plans
     out = {}
     for target in targets:
         plan = None if plans is None else plans.get(target)
         if plan is None:
+            if parents is None:
+                parents = {o: node.parents for o, node in net.nodes.items()}
             plan = compile_plan(kb, parents, frozenset(observed), target)
             if plans is not None:
                 plans[target] = plan

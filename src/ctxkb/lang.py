@@ -266,8 +266,9 @@ class KnowledgeBase:
     clauses: dict = field(init=False, repr=False, compare=False)
     # the lang.Window of the latest session window (None until one): each rule's ranges, each reached
     # object's discharge records there, guards unproven, the combined table of each kept set of those
-    # records, and the elimination plans of its networks, so it holds no evidence value or context
-    # fact; a session over another window replaces it, tables, plans and all
+    # records, the elimination plans of its networks and each network under the records proven for
+    # it, so it holds no evidence value or context fact; a session over another window replaces it,
+    # tables, plans, networks and all
     window: Window = field(default=None, init=False, repr=False, compare=False)
 
     DEFAULT_RULE = "noisy_max"
@@ -364,11 +365,16 @@ class Window(dict):
     gap and row lines are formatted at its first check.  ``plans``: (network
     structure, evidence objects) -> target -> its ``infer.compile_plan`` plan,
     filled by ``infer.eliminate`` from a structure's second call on (its first
-    leaves an empty entry).
+    leaves an empty entry).  ``nets``: (the ids of the ``objects`` records that
+    discharge proved, in order; the sorted evidence objects; the query's
+    candidates) -> (the combined base, the relevant set, those records), as
+    ``relevance.build_combined_base`` returns them, the base holding the network
+    ``netbuild.build_net`` assembled on it; stored only once assembly has passed.
     """
 
     def __init__(self, lo: int, hi: int):
-        self.lo, self.hi, self.objects, self.tables, self.plans = lo, hi, {}, {}, {}
+        self.lo, self.hi = lo, hi
+        self.objects, self.tables, self.plans, self.nets = {}, {}, {}, {}
 
     def __missing__(self, rule):
         ranges = _window_ranges(rule.typing, self.lo, self.hi)

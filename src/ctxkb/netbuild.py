@@ -40,6 +40,9 @@ from .relevance import (
 class BayesNet:
     nodes: dict = field(default_factory=dict)  # Obj -> its ObjTable in the combined base
     order: tuple = ()  # topological, parents before children
+    # (plan store, evidence objects, this structure's plans there), kept by ``infer.eliminate`` once
+    # the store fills plans for the structure, so that a network handed out again finds them at once
+    plans: tuple = field(default=None, compare=False, repr=False)
 
 
 def query_instances(kb: KnowledgeBase, query: Atom, lo: int, hi: int):
@@ -62,6 +65,12 @@ def build_net(kb: KnowledgeBase, session):
     which a supporting network exists (empty when the query is unsupported).
     Only the candidate query objects, the evidence objects and their
     ancestors are discharged and combined.
+
+    Once assembled, the network goes into the window's network memo with the
+    base it was built on (``build_combined_base``), so a session that proves
+    the same records for the same evidence objects and candidates gets it
+    back without the fixpoint, combining or assembly.  A session that fails
+    stores nothing.  Each call hands out binding dicts of its own.
     """
     if isinstance(session, SessionInput):
         session = validate_session(kb, session)
@@ -69,9 +78,13 @@ def build_net(kb: KnowledgeBase, session):
     if session.query is not None:
         candidates = query_instances(kb, session.query, session.lo, session.hi)
     demand = {o for _, o in candidates} | set(session.evidence)
-    base, ras, _ = build_combined_base(kb, session, demand=demand)
-    net, subs = assemble_net(kb, session, base, ras, candidates)
-    return net, subs
+    base, ras, records = build_combined_base(kb, session, demand, candidates)
+    if base.net is None:
+        net, subs = assemble_net(kb, session, base, ras, candidates)
+        base.net = net, tuple([tuple(theta.items()) for theta in subs])
+        kb.window.nets[base.key] = base, ras, records
+    net, subs = base.net
+    return net, [dict(theta) for theta in subs]
 
 
 def assemble_net(

@@ -21,7 +21,10 @@ KB's window store (``lang.Window``, kept for the latest window in
 but unproven, so a session over a window seen before only walks the demand
 and proves guards.  It also holds each object's combined table under the
 records that combining kept for it, so a session that keeps the same records
-reuses the table and its checked lines.
+reuses the table and its checked lines, and each supporting network under
+the records discharge proved for it, so a session that proves the same
+records for the same evidence objects and query skips the fixpoint,
+combining and assembly.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ class ObjTable:
 @dataclass
 class CombinedBase:
     tables: dict = field(default_factory=dict)  # Obj -> ObjTable
+    # built for a query's candidates: the base's key in the window's network memo, and, once the
+    # memo holds it, the (network, instance bindings) that ``netbuild.build_net`` assembled on it
+    key: tuple = None
+    net: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +421,29 @@ def check_consistency(base: CombinedBase):
         raise ConsistencyError(violations)
 
 
-def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, demand=None):
+def build_combined_base(kb: KnowledgeBase, session: ValidatedSession, demand=None, candidates=None):
     """Run the whole relevance pipeline; returns (combined base, ras, discharged records).
 
     With a ``demand`` of ground objects, only those objects and their
     ancestors are discharged, and the base holds exactly their tables.
+
+    With the query's ``candidates`` as well, the (bindings, object) pairs that
+    ``netbuild.build_net`` assembles from, the base carries its key in the
+    window's network memo (``lang.Window.nets``): the identities of the
+    discharged records in order, the sorted evidence objects and the
+    candidates.  The relevant set, base and network follow from these alone,
+    so on a hit, looked up right after discharge, the stored relevant set and
+    base come back, the base's ``net`` holding the network.
     """
     records = discharge_contexts(kb, session, demand)
+    key = None
+    if candidates is not None:
+        key = (tuple(map(id, records)), tuple(sorted(session.evidence)),
+               tuple([(tuple(theta.items()), o) for theta, o in candidates]))
+        entry = kb.window.nets.get(key)
+        if entry is not None:
+            return entry
     ras = compute_ras(records, session)
-    return combine_rpb(records, kb, ras), ras, records
+    base = combine_rpb(records, kb, ras)
+    base.key = key
+    return base, ras, records

@@ -4,9 +4,9 @@ A machine drives one loaded KB through a run of sessions: queries,
 projections, a wider or shifted window, other evidence, another plan, and
 error sessions (a conflict, a gap or a guard cycle).  After each step the
 warm KB must answer exactly as a freshly parsed one (float-hex posteriors,
-exact error lines), and its stores must hold one window, plans and tables of
-that window only, and nothing from a session: no evidence value and no
-context fact.
+exact error lines), and its stores must hold one window, plans, tables and
+networks of that window only, and nothing from a session: no evidence value
+and no context fact.
 """
 
 import gc
@@ -166,7 +166,7 @@ class WarmKnowledgeBase(RuleBasedStateMachine):
         window = self.kb.window
         if window is None:
             return
-        assert vars(window).keys() == {"lo", "hi", "objects", "tables", "plans"}
+        assert vars(window).keys() == {"lo", "hi", "objects", "tables", "plans", "nets"}
         assert all(window.lo <= obj[-1] <= window.hi for obj in window.objects)
         assert_window_holds_the_kb_alone(window, self.reference)
         for structure, observed in window.plans:

@@ -2,10 +2,11 @@
 
 ``KnowledgeBase.window`` keeps, for the latest session window, each rule's
 ranges, each reached object's discharge records with their guards filled
-but not proven, and each object's combined table under the records that
-combining kept for it.  A warm store must discharge, combine and check
-exactly as a freshly loaded knowledge base does, report the same errors,
-keep one window only and hold nothing that comes from a session.
+but not proven, each object's combined table under the records that
+combining kept for it, and each supporting network under the records that
+discharge proved for it.  A warm store must discharge, combine, check and
+answer exactly as a freshly loaded knowledge base does, report the same
+errors, keep one window only and hold nothing that comes from a session.
 """
 
 import gc
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxkb import discharge_contexts, parse_kb
+from ctxkb import answer_query, build_net, discharge_contexts, parse_kb
 from ctxkb.errors import CtxkbError
 from ctxkb.lang import Window
 from ctxkb.netbuild import query_instances
@@ -191,8 +192,8 @@ def test_store_holds_nothing_from_a_session():
         outcome(kbs[1], dict(t, hi=5, query=s["query"]))
     reference = parse_kb(CARDIAC_TEXT)
     for kb in kbs:
-        assert vars(kb.window).keys() == {"lo", "hi", "objects", "tables", "plans"}
-        assert kb.window.tables
+        assert vars(kb.window).keys() == {"lo", "hi", "objects", "tables", "plans", "nets"}
+        assert kb.window.tables and kb.window.nets
         assert_window_holds_the_kb_alone(kb.window, reference)
     # no proof filtered them: one object keeps groundings whose guards exclude each other
     guards = {lit[1][0] for r in kbs[0].window.objects[("rhythm", "john", 2)] for lit in r[2]}
@@ -209,7 +210,9 @@ def assert_window_holds_the_kb_alone(window, reference):
     ``reference`` is a KB of the same text that never saw a session.  Every
     stored object has the records that it grounds for the object; every
     table is keyed by the identities of records the window holds, and is the
-    table that combining those records alone gives on it.
+    table that combining those records alone gives on it.  Every network is
+    keyed by the identities of records the window holds and names objects
+    only: no evidence value and no context atom.  Its nodes are stored tables.
     """
     fresh_window = Window(window.lo, window.hi)
     for obj, records in window.objects.items():
@@ -225,6 +228,21 @@ def assert_window_holds_the_kb_alone(window, reference):
         [(obj, fresh)] = again.tables.items()
         assert (obj, fresh.parents, fresh.rows, fresh.missing) == (table.obj, table.parents, table.rows,
                                                                    table.missing)
+    stored = {id(r) for records in window.objects.values() for r in records}
+    tables = {id(table) for _, table in window.tables.values()}
+
+    def is_object(o):
+        decl = reference.decl(o[0])
+        return decl.kind == "p" and len(o) == 1 + len(decl.attribute_domains)
+
+    for key, (base, ras, records) in window.nets.items():
+        ids, observed, candidates = key
+        assert key is base.key and ids == tuple(map(id, records)) and set(ids) <= stored
+        net, subs = base.net
+        assert all(map(is_object, (*observed, *ras.objs, *(o for _, o in candidates), *net.nodes)))
+        assert set(observed) <= ras.objs and set(net.nodes) <= ras.objs
+        assert all(id(t) in tables and net.nodes[o] is t for o, t in base.tables.items() if o in net.nodes)
+        assert set(subs) <= {theta for theta, _ in candidates}
 
 
 def node_views(kb, session):
@@ -337,3 +355,125 @@ def test_stored_tables_report_a_fresh_kbs_lines_in_order(text, error):
     # each line was formatted by the first session that checked its table
     lines = "gaps" if error == "QuantificationError" else "violations"
     assert all(getattr(t, lines) is not None for _, t in stored.values() if t.missing or lines == "violations")
+
+
+# ---------------------------------------------------------------------------
+# The network memo: one supporting network per proven record set, evidence objects and query
+
+
+def answers_as_fresh(text, sessions):
+    """Each session's ``outcome`` on one warm KB, each checked against a fresh KB of ``text``."""
+    kb = parse_kb(text)
+    got = []
+    for s in sessions:
+        got.append(outcome(kb, s))
+        assert got[-1] == outcome(parse_kb(text), s), s
+    return kb, got
+
+
+def test_candidates_with_other_bindings_get_their_own_network():
+    plan = "epi(john, 0). cpr(mary, 1). dfib(john, 2). lido(mary, 30)."
+    queries = ("cd(X, 60, V)", "cd(john, 60, V)", "cd(Y, 60, V)", "cd(X, 60, V)", "cd(john, 60, V)")
+    sessions = [dict(context=plan, evidence="rhythm(john, 0, vf).", lo=0, hi=60, query=q) for q in queries]
+    kb, got = answers_as_fresh(CARDIAC_TEXT, sessions)
+    # cd(Y, ...) has the objects of cd(X, ...) and other bindings: a network of its own
+    assert [b for b, _, _ in got[2]] == [[("Y", "john")], [("Y", "mary")]]
+    assert got[3] == got[0] and got[4] == got[1]
+    assert len(kb.window.nets) == 3
+
+
+def test_redrawn_evidence_values_are_answered_from_the_stored_network():
+    rng = random.Random(29)
+    rhythms = ("nsr", "vf", "vt", "af", "svt", "b", "a")
+    sessions = [dict(context="epi(john, 0). cpr(mary, 1). dfib(john, 2).", lo=0, hi=3, query="cd(X, 3, V)",
+                     evidence=" ".join(f"rhythm({p}, 0, {rng.choice(rhythms)})." for p in ("john", "mary")))
+                for _ in range(8)]
+    kb, got = answers_as_fresh(CARDIAC_TEXT, sessions)
+    assert len({str(g) for g in got}) > 1  # the evidence values move the answer
+    [(base, _, _)] = kb.window.nets.values()
+    assert build_net(kb, session_for(kb, **sessions[0]))[0] is base.net[0]
+
+
+UNQUANTIFIED_CAUSE = """
+value p = { no, yes }.
+value q = { no, yes }.
+pred p(time).
+pred q(time).
+prob p(t, yes) | q(t, yes) = 0.5.
+prob p(t, no) | q(t, yes) = 0.5.
+prob p(t, yes) | q(t, no) = 0.5.
+prob p(t, no) | q(t, no) = 0.5.
+"""
+
+
+def test_an_evidence_object_that_adds_no_record_gets_its_own_network():
+    # q(0) has no sentence: observing it proves the same records, but makes p(0) relevant
+    sessions = [dict(evidence=ev, lo=0, hi=0, query="p(0, V)") for ev in ("", "q(0, yes).") * 2]
+    kb, got = answers_as_fresh(UNQUANTIFIED_CAUSE, sessions)
+    assert got[0] == got[2] == [] and got[1] == got[3]
+    assert got[1][0] == "QuantificationError" and len(kb.window.nets) == 1
+
+
+IMPOSSIBLE = """
+value p = { no, yes }.
+value q = { no, yes }.
+pred p(time).
+pred q(time).
+prob p(0, no) = 0.0.
+prob p(0, yes) = 1.0.
+prob q(t, no) | p(t, no) = 0.5.
+prob q(t, yes) | p(t, no) = 0.5.
+prob q(t, no) | p(t, yes) = 0.2.
+prob q(t, yes) | p(t, yes) = 0.8.
+"""
+
+
+def test_impossible_evidence_on_a_stored_network_still_raises():
+    sessions = [dict(evidence=f"p(0, {v}).", lo=0, hi=0, query="q(0, V)") for v in ("yes", "no", "yes", "no")]
+    kb, got = answers_as_fresh(IMPOSSIBLE, sessions)
+    assert got[1] == got[3] == ("ImpossibleEvidenceError", "evidence has zero probability (P(E) = 0)")
+    assert got[0] == got[2] and len(kb.window.nets) == 1
+
+
+TABLE_CYCLE = """
+value p = { no, yes }.
+value q = { no, yes }.
+pred p(time).
+pred q(time).
+prob p(t, yes) = 0.5.
+prob p(t, no) = 0.5.
+prob p(t, yes) | q(t, yes) = 0.5.
+prob p(t, no) | q(t, yes) = 0.5.
+prob p(t, yes) | q(t, no) = 0.5.
+prob p(t, no) | q(t, no) = 0.5.
+prob q(t, yes) | p(t, yes) = 0.5.
+prob q(t, no) | p(t, yes) = 0.5.
+prob q(t, yes) | p(t, no) = 0.5.
+prob q(t, no) | p(t, no) = 0.5.
+"""
+
+
+@pytest.mark.parametrize("text, session, error", [
+    (GUARDED_CONFLICT, dict(context="c(2).", lo=0, hi=3, query="p(3, V)"), "ConflictingSentencesError"),
+    (GAPS, dict(context="c(2).", lo=0, hi=4, query="p(4, V)"), "QuantificationError"),
+    (ROWS, dict(context="c(2).", lo=0, hi=4, query="p(4, V)"), "ConsistencyError"),
+    (TABLE_CYCLE, dict(lo=0, hi=0, query="p(0, V)"), "CycleError"),
+    (CARDIAC_TEXT, dict(evidence="rhythm(john, 1, vf).", lo=1, hi=1, query="rhythm(john, 1, V)"),
+     "OutOfBoundsSupportError"),
+])
+def test_a_failed_session_stores_no_network(text, session, error):
+    kb, got = answers_as_fresh(text, [session, session])
+    assert got[0][0] == error and got[0] == got[1]
+    assert kb.window.nets == {}
+
+
+def test_mutating_an_answers_bindings_leaves_the_next_answer_alone():
+    session = dict(context="epi(john, 0). dfib(john, 2).", evidence="rhythm(john, 0, vf).", lo=0, hi=3,
+                   query="cd(X, 3, V)")
+    kb = parse_kb(CARDIAC_TEXT)
+    first = answer_query(kb, session_for(kb, **session))
+    for theta, _ in first.instances:
+        theta["X"] = "nobody"
+        theta["Y"] = "john"
+    assert outcome(kb, session) == outcome(parse_kb(CARDIAC_TEXT), session)
+    assert len(kb.window.nets) == 1
